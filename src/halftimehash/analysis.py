@@ -4,8 +4,9 @@ entropy / seed-size / multiplication-count formulas.
 Nothing here is needed on the hashing hot path; this module exists so that
 every mathematical property the hash family relies on is machine-checked:
 exact 2-adic valuations of the combine matrices, exhaustive minimum-distance
-measurement of the erasure codes at reduced symbol width, and the closed
-forms for collision probability and seed budget.
+measurement of the erasure codes at reduced symbol width, the closed
+forms for collision probability and multiplication count, and the seed
+budget as the hasher lays it out.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import gf16, tree
+from .hasher import seed_layout, seed_layout_for_levels
 from .params import ErasureCode, HashParams, TransformMatrix
 
 
@@ -178,10 +180,16 @@ class EntropyReport:
     """Entropy, seed-budget, and multiplication accounting for one length.
 
     ``tree_height`` is the ceiling reading used by the shipped reports;
-    the floor reading is carried alongside for comparison.  The
-    ``multiplications`` field is the closed-form leading term; the exact
-    structural count appears in ``multiplications_exact`` with the
-    logarithmic remainder in ``multiplications_log_term``.
+    the floor reading is carried alongside for comparison.  ``seed_words``
+    and ``seed_bytes`` are what hashing this length demands
+    (:func:`halftimehash.hasher.seed_layout`).  ``seed_words_paper`` and
+    ``seed_words_floor`` are the paper's budget at the ceiling and floor
+    heights, with at least the one level the finalize always keys; the
+    paper figure falls short of the demand where the stack keeps one level
+    more, as at exact powers of the fanout.  The ``multiplications``
+    field is the closed-form leading term; the exact structural count
+    appears in ``multiplications_exact`` with the logarithmic remainder in
+    ``multiplications_log_term``.
     """
 
     output_bytes: int
@@ -191,6 +199,7 @@ class EntropyReport:
     epsilon_log2: float
     seed_words: int
     seed_bytes: int
+    seed_words_paper: int
     seed_words_floor: int
     multiplications: int
     multiplications_exact: int
@@ -210,18 +219,6 @@ def _heights(params: HashParams, n_inst: int) -> tuple[int, int]:
     return h_ceil, h_floor
 
 
-def _seed_budget(params: HashParams, h: int) -> int:
-    k, b, f = params.output_words, params.block_words, params.fanout
-    return (
-        params.entropy_words
-        + (f - 1) * h * k
-        + b * f * h * k
-        + params.instance_words
-        + k
-        - 1
-    )
-
-
 def entropy_report(params: HashParams, n_bytes: int) -> EntropyReport:
     """Evaluate the collision-probability, seed and cost formulas at a length."""
     if n_bytes < 1:
@@ -235,8 +232,7 @@ def entropy_report(params: HashParams, n_bytes: int) -> EntropyReport:
     epsilon_scale = (1 << (k * p)) + h**k + 1
     epsilon_log2 = 32.0 * k - math.log2(epsilon_scale)
 
-    seed_words = _seed_budget(params, h)
-    seed_words_floor = _seed_budget(params, h_floor)
+    seed_words = seed_layout(params, n_bytes).total_words
 
     leading = (params.entropy_words + k) * b * n_inst
     ehc_mults = params.entropy_words * b * n_inst
@@ -255,7 +251,8 @@ def entropy_report(params: HashParams, n_bytes: int) -> EntropyReport:
         epsilon_log2=epsilon_log2,
         seed_words=seed_words,
         seed_bytes=8 * seed_words,
-        seed_words_floor=seed_words_floor,
+        seed_words_paper=seed_layout_for_levels(params, max(h, 1)).total_words,
+        seed_words_floor=seed_layout_for_levels(params, max(h_floor, 1)).total_words,
         multiplications=leading,
         multiplications_exact=exact,
         multiplications_log_term=exact - leading,
@@ -280,6 +277,7 @@ REPORT_FIELDS = (
     "epsilon_log2",
     "seed_words",
     "seed_bytes",
+    "seed_words_paper",
     "multiplications",
     "multiplications_log_term",
 )

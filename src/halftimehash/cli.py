@@ -210,8 +210,9 @@ def cmd_vectors(args) -> int:
     with open(args.check) as fh:
         recorded = [line.strip() for line in fh if line.strip()]
     expected = list(_vector_records())
-    bad = [line for line in recorded if line not in set(expected)]
-    missing = [line for line in expected if line not in set(recorded)]
+    expected_set, recorded_set = set(expected), set(recorded)
+    bad = [line for line in recorded if line not in expected_set]
+    missing = [line for line in expected if line not in recorded_set]
     if bad or missing:
         for line in bad:
             print(f"mismatch: {line}")

@@ -97,10 +97,6 @@ class ErasureCode:
             if not all(0 <= c < 16 for c in row):
                 raise ValueError("parity coefficients must be GF(16) elements")
 
-    @property
-    def bitwise_linear(self) -> bool:
-        return True
-
 
 def _xor_parity_code(arity_in: int) -> ErasureCode:
     return ErasureCode(

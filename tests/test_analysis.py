@@ -3,8 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from halftimehash import analysis, variant
+from halftimehash import analysis, expand_seed, hash_bytes, seed_words_needed, variant
 from halftimehash.analysis import (
     CodeDistanceError,
     SingularSubsetError,
@@ -168,6 +170,37 @@ def test_entropy_report_monotone():
     for a, b in zip(reports, reports[1:]):
         assert b.seed_words >= a.seed_words
         assert b.epsilon_log2 <= a.epsilon_log2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.sampled_from(sorted(VARIANTS)),
+    n_inst=st.one_of(
+        st.just(0),
+        st.builds(lambda j, d: max(1, 8**j + d), st.integers(0, 14), st.integers(-1, 1)),
+    ),
+    extra=st.integers(0, 2**20),
+)
+def test_entropy_report_seed_covers_hasher_demand(width, n_inst, extra):
+    # At and around f^j instances, and with no full instance at all
+    p = variant(width)
+    m8 = 8 * p.instance_words
+    n_bytes = max(1, n_inst * m8 + extra % m8)
+    r = entropy_report(p, n_bytes)
+    assert r.seed_bytes >= 8 * seed_words_needed(p, n_bytes)
+    assert r.seed_bytes == 8 * r.seed_words
+    if n_bytes <= 10 * m8:
+        # a seed sized from the report hashes the input
+        hash_bytes(bytes(n_bytes), expand_seed(b"\x00" * 32, r.seed_words), p)
+
+
+def test_entropy_report_paper_seed_figure_kept():
+    p = variant(24)
+    # 8 instances: the stack keeps a second level, the ceiling height is 1
+    r = entropy_report(p, 8 * 8 * p.instance_words)
+    assert (r.tree_height, r.seed_words_paper, r.seed_words) == (1, 410, 623)
+    mb = entropy_report(p, 2**20)
+    assert mb.seed_words_paper == mb.seed_words
 
 
 def test_multiplication_fields_consistent():

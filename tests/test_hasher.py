@@ -1,7 +1,11 @@
+import mmap
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import halftimehash as hh
 from halftimehash import hasher
@@ -51,6 +55,20 @@ GOLDEN_FILL_100000 = {
     32: "5059cb578236e4ad9ffd69dd74e21e9f513ceaf5a1de14badc9cf29e33815736",
     40: "4ecc10841f5feccde5658fa5ce348a8c8d478d2f98e66a493ba330fac48de76d68ae034d010883ec",
 }
+# Long enough to span several leaf-stage runs; recorded with the
+# whole-input lanes engine and confirmed with the scalar engine.
+GOLDEN_FILL_1M_PLUS_1 = {
+    16: "5365a372507fc2778a26b4046ec4bce5",
+    24: "8470229f6918365433364b655d2e44ec3832f965ab11dbeb",
+    32: "754dbf52b5a23334f70c38b61c0a11faa11cf100b7f211afd9d3eb97434b737a",
+    40: "b6a5b5809cf52d21f6016fe85a8ab2e1bd7eb5d65ded2099b7afaa8a3130f22dd38024739c498733",
+}
+GOLDEN_FILL_4M = {
+    16: "80158a334c44b9596f246ae9949af3e6",
+    24: "db47f1584790f3b94b814792386470f83604584928932359",
+    32: "a4093d37e690036ac2555a3263e6bd26027007222157a57f065bcb854dc8ac37",
+    40: "df98cacf3e3b6271d4790ccced2817f3bf37f552f901b0264c30efb4c066520fe5f5b96e912ab5a8",
+}
 
 
 @pytest.mark.parametrize("width", sorted(VARIANTS))
@@ -62,6 +80,11 @@ def test_golden_digests(width):
         hh.digest(fill_bytes(100000), RANGE_MASTER, width).hex()
         == GOLDEN_FILL_100000[width]
     )
+    assert (
+        hh.digest(fill_bytes(2**20 + 1), RANGE_MASTER, width).hex()
+        == GOLDEN_FILL_1M_PLUS_1[width]
+    )
+    assert hh.digest(fill_bytes(4 * 2**20), RANGE_MASTER, width).hex() == GOLDEN_FILL_4M[width]
 
 
 def test_digest_shape():
@@ -155,6 +178,54 @@ def test_words_from_bytes_little_endian_zero_pad():
     assert words_from_bytes(b"") == []
 
 
+def _mmap_holding(data: bytes) -> mmap.mmap:
+    buf = mmap.mmap(-1, len(data))
+    buf[:] = data
+    return buf
+
+
+BUFFER_KINDS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": memoryview,
+    # a buffer whose words are not 8-byte aligned in memory
+    "offset-memoryview": lambda data: memoryview(b"x" + data)[1:],
+    "numpy-uint8": lambda data: np.frombuffer(data, dtype=np.uint8).copy(),
+    "mmap": _mmap_holding,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUFFER_KINDS))
+def test_bytes_like_inputs_hash_like_bytes(kind):
+    p = hh.variant(24)
+    data = fill_bytes(3 * p.instance_words * 8 + 13)
+    seed = hh.seed_for_input(RANGE_MASTER, p, len(data))
+    want = hh.hash_bytes(data, seed, p)
+    buf = BUFFER_KINDS[kind](data)
+    try:
+        assert hh.hash_bytes(buf, seed, p) == want
+        assert hh.hash_bytes(buf, seed, p, engine="scalar") == want
+        assert hh.digest(buf, RANGE_MASTER, 24) == hh.digest(data, RANGE_MASTER, 24)
+    finally:
+        if isinstance(buf, mmap.mmap):
+            buf.close()  # raises BufferError if a view of it were still held
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["text", 12345, [1, 2, 3], None, memoryview(b"abcdefgh")[::2]],
+    ids=["str", "int", "list", "None", "strided-memoryview"],
+)
+def test_non_buffer_inputs_rejected(bad):
+    p = hh.variant(24)
+    seed = hh.seed_for_input(ZERO_MASTER, p, 64)
+    for engine in ("lanes", "scalar"):
+        with pytest.raises(TypeError, match="hash input"):
+            hh.hash_bytes(bad, seed, p, engine=engine)
+    with pytest.raises(TypeError, match="hash input"):
+        hh.digest(bad)
+
+
 @pytest.mark.parametrize("width", sorted(VARIANTS))
 def test_scalar_lanes_equivalence_boundaries(width):
     p = hh.variant(width)
@@ -168,6 +239,60 @@ def test_scalar_lanes_equivalence_boundaries(width):
         assert hh.hash_bytes(data, seed, p, engine="scalar") == hh.hash_bytes(
             data, seed, p, engine="lanes"
         )
+
+
+def _instance_counts(run: int, fanout: int) -> list[int]:
+    """Instance counts at and next to run boundaries and tree levels f^j."""
+    anchors = {run, 2 * run, 3 * run, fanout, fanout**2}
+    return sorted({max(0, a + d) for a in anchors for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("run", [1, 2, 3, 8])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_chunked_lanes_match_scalar_at_run_boundaries(run, data):
+    # Shrink the leaf stage's run to a few instances, so short inputs
+    # cross run, instance and tree-level boundaries in every combination.
+    width = data.draw(st.sampled_from(sorted(VARIANTS)))
+    p = hh.variant(width)
+    m8 = p.instance_words * 8
+    n_inst = data.draw(st.sampled_from(_instance_counts(run, p.fanout)))
+    n = max(0, n_inst * m8 + data.draw(st.integers(-9, 9)))
+    rnd = random.Random(data.draw(st.integers(0, 2**32)))
+    inputs = [rnd.randbytes(n), rnd.randbytes(n)]
+    seed = hh.seed_for_input(rnd.randbytes(32), p, n)
+    want = [hh.hash_bytes(x, seed, p, engine="scalar") for x in inputs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hasher, "_RUN_WORDS", run * p.instance_words)
+        assert hh.hash_bytes(inputs[0], seed, p) == want[0]
+        # a batch of two: the run budget counts the batch axis
+        words = np.stack([
+            np.frombuffer(x + bytes(-n % 8), dtype="<u8").astype(np.uint64) for x in inputs
+        ])
+        got = hasher._hash_words_np(words, n, seed.words_np, p)
+    assert [tuple(int(v) for v in row) for row in got] == [d.words for d in want]
+
+
+@pytest.fixture(scope="module")
+def unaligned_16m():
+    return fill_bytes(16 * 2**20 + 3)
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+def test_lanes_memory_below_input_size(width, unaligned_16m):
+    # The input is read in place and the leaf stage works in cache-sized
+    # runs, so the working set stays below the input itself.
+    data = unaligned_16m
+    p = hh.variant(width)
+    seed = hh.seed_for_input(ZERO_MASTER, p, len(data))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        hh.hash_bytes(data, seed, p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < len(data)
 
 
 def test_unknown_engine_rejected():
