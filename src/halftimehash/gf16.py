@@ -21,6 +21,19 @@ def xtime(value, width: int, mask: int):
     return ((value << stride) & mask) ^ top ^ (top << stride)
 
 
+def xtime_inplace(value):
+    """``xtime`` on an unsigned numpy array, in place, at the array's own
+    word width.  The left shift drops exactly the bits ``xtime``'s mask
+    clears, so there is no mask pass.  Returns ``value``."""
+    stride = value.dtype.itemsize * 2
+    top = value >> (3 * stride)
+    value <<= stride
+    value ^= top
+    top <<= stride
+    value ^= top
+    return value
+
+
 def scale(coeff: int, value, width: int, mask: int):
     """Multiply every lane by the constant field element ``coeff`` (0..15)."""
     acc = value & 0  # zero of the same type (int or ndarray)

@@ -5,12 +5,13 @@ assembly.
 Two engines produce bit-identical digests: a pure-Python scalar path (the
 instrumentable reference) and a numpy lane path that vectorizes across
 block lanes and across batched inputs.  The lane path reads the input's
-whole 64-bit words in place, without copying them, and runs the leaf stage
-on cache-sized runs of instances, so for long inputs the memory it needs
-beyond the input stays below the input's own size.  Both accept any
-C-contiguous bytes-like input.  A digest is
-a function of (input bytes, master seed, variant) only; seed buffers may be
-expanded for any sufficient capacity without changing results.
+whole 64-bit words in place, without copying them, and takes the instances
+in cache-sized runs through the leaf stage and the k trees.  Between runs
+each tree level keeps fewer than f blocks, so the memory it needs beyond
+the input is bounded by the run size, however long the input.  Both accept
+any C-contiguous bytes-like input.  A digest is a function of (input bytes,
+master seed, variant) only; seed buffers may be expanded for any sufficient
+capacity without changing results.
 
 Parameter sets and seed buffers are immutable, so one (params, seed) pair
 can be shared across threads; every hash call owns its transient state.
@@ -27,7 +28,7 @@ import numpy as np
 from . import ehc as ehc_mod
 from . import tree as tree_mod
 from .nh import MultCounter, nh_full, words_to_halves
-from .params import MASK64, HashParams, coefficient_multiply
+from .params import MASK64, HashParams
 from . import gf16
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -299,94 +300,113 @@ def _hash_scalar(
 #
 # All kernels broadcast over a leading batch axis on both the data and the
 # seed arrays, so one code path serves single inputs, many inputs under one
-# seed, and one input under many seeds.
+# seed, and one input under many seeds.  Each numpy operation is a full
+# pass over its arrays, so the kernels are written to make few of them.
 
 #: Input words, counted across the batch axis, per run of the leaf stage
 #: (512 KiB), so a run's encoded, hashed and combined arrays stay in cache.
-#: Hashing 16 MiB on a 2-core Xeon with 2 MiB of L2 per core, 2**16-word
-#: runs were 1.6-2.4x faster than 2**13-word runs and 1.0-1.4x faster than
-#: 2**18-word runs.
+#: Hashing 16 MiB on a 2-core Xeon with 2 MiB of L2 per core (medians of
+#: 8-10 interleaved runs per size), 2**16-word runs were 1.4-1.6x faster
+#: than 2**14-word runs and 1.0-1.25x faster than 2**15-word runs;
+#: 2**17 words ran at 0.99-1.12x and 2**18 at 0.89-0.99x of 2**16, for
+#: twice and four times the working set.
 _RUN_WORDS = 2**16
 
 
 def _nh_halves(words: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two NH factors ``(d_lo + s_lo) mod 2^32`` and ``(d_hi + s_hi) mod
-    2^32`` of every word, shaped like ``words``.  Worked in place, so a call
-    allocates the two results and the two seed masks, nothing more."""
-    half = np.uint64(_HALF)
-    lo = words & half
-    lo += seeds & half
-    lo &= half
-    hi = words >> np.uint64(32)
-    hi += seeds >> np.uint64(32)
-    hi &= half
-    return lo, hi
+    2^32`` of every word.  One add on the 32-bit views wraps both halves.
+
+    ``seeds`` broadcasts against ``words``; both need a contiguous last
+    axis, of the same length.
+    """
+    s = np.add(words.view(np.uint32), seeds.view(np.uint32)).view(np.uint64)
+    lo = s & np.uint64(_HALF)
+    s >>= np.uint64(32)
+    return lo, s
 
 
-def _nh_words_np(words: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """nh_full over trailing word axes; halves are the 32-bit word halves."""
+def _nh_words_np(words: np.ndarray, seeds: np.ndarray, axis: int = -1) -> np.ndarray:
+    """nh_full over word axis ``axis``, -1 or -2; halves are the 32-bit
+    word halves."""
     lo, hi = _nh_halves(words, seeds)
-    if lo.strides[-1] == lo.itemsize:
+    if axis == -1:
         lo *= hi
-        return lo.sum(axis=-1, dtype=np.uint64)
-    # Over a short strided axis (the leaf's w axis) sum() is several times
-    # slower than einsum, which costs more per call on contiguous rows.
-    return np.einsum("...i,...i->...", lo, hi)
+        return lo.sum(axis=-1)
+    # One einsum multiplies and sums without storing the products, and
+    # on a short axis that is not the last it is also the faster sum.
+    return np.einsum("...ij,...ij->...j", lo, hi)
 
 
-def _nh_node_np(blocks: np.ndarray, seed_words: np.ndarray) -> np.ndarray:
+def _nh_node_np(blocks: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """nh_tree_node over axis -2 (the fanout axis) of ``blocks``.
 
-    ``seed_words`` is (f-1,) or batched (B, f-1); it is reshaped so the seed
-    broadcasts over any node axes between the batch and the fanout axis.
+    ``keys`` holds the f-1 seed words, each repeated over the lanes, and
+    broadcasts against ``blocks[..., :-1, :]``.
     """
-    body = blocks[..., :-1, :]
-    lead = seed_words.shape[:-1]
-    shape = lead + (1,) * (body.ndim - len(lead) - 2) + (seed_words.shape[-1], 1)
-    lo, hi = _nh_halves(body, seed_words.reshape(shape))
-    return np.einsum("...ij,...ij->...j", lo, hi) + blocks[..., -1, :]
+    lo, hi = _nh_halves(blocks[..., :-1, :], keys)
+    out = np.einsum("...ij,...ij->...j", lo, hi)
+    out += blocks[..., -1, :]
+    return out
+
+
+def _horner(acc: np.ndarray, terms: list, coeffs: Sequence[int], times_x, add) -> None:
+    """Write ``sum(c * t)`` over ``coeffs`` and ``terms`` into ``acc``.
+
+    Horner form: from the top coefficient bit down, multiply the
+    accumulator by x, then add the terms whose coefficient has that bit.
+    That is one ``times_x`` per bit, however many terms there are.
+    """
+    top = max(coeffs).bit_length()
+    if not top:
+        acc.fill(0)
+    for bit in reversed(range(top)):
+        picked = [t for t, c in zip(terms, coeffs) if c >> bit & 1]
+        if bit == top - 1:
+            first = picked.pop(0)
+            if picked:
+                add(first, picked.pop(0), out=acc)
+            else:
+                np.copyto(acc, first)
+        else:
+            times_x(acc)
+        for t in picked:
+            add(acc, t, out=acc)
+
+
+def _double(acc: np.ndarray) -> None:
+    acc <<= np.uint64(1)
 
 
 def _encode_np(inst: np.ndarray, params: HashParams) -> np.ndarray:
     """inst: (..., n, d, w, b) -> (..., e, n, w, b) systematic encoding.
 
-    The output is item-major, so every item and parity the encoder touches
-    is one contiguous array.  Each item's multiples ``x^c * v`` are
-    computed once, up to the highest power any parity row uses for that
-    item, and XORed into every parity whose coefficient has bit ``c`` set;
-    a coefficient of 1 is a plain XOR.  Equal to XORing
-    ``gf16.scale(coeff, v)`` over each row.
+    The output is item-major, so every item and parity is one contiguous
+    array.  Each parity is a GF(16) Horner sum of the items, so it costs
+    at most three multiplications by x, and XOR parity none.  Equal to
+    XORing ``gf16.scale(coeff, v)`` over each row.
     """
     d = params.instance_items
     shape = inst.shape[:-4] + (params.encoded_items, inst.shape[-4]) + inst.shape[-2:]
     enc = np.empty(shape, dtype=np.uint64)
     enc[..., :d, :, :, :] = np.moveaxis(inst, -3, -4)
-    parity = enc[..., d:, :, :, :]
-    parity[...] = 0
-    for i in range(d):
-        coeffs = [row[i] for row in params.code.parity_rows]
-        power = enc[..., i, :, :, :]
-        for bit in range(max(coeffs).bit_length()):
-            if bit:
-                power = gf16.xtime(power, 64, MASK64)
-            for j, coeff in enumerate(coeffs):
-                if coeff >> bit & 1:
-                    parity[..., j, :, :, :] ^= power
+    items = [enc[..., i, :, :, :] for i in range(d)]
+    for j, row in enumerate(params.code.parity_rows):
+        _horner(enc[..., d + j, :, :, :], items, row, gf16.xtime_inplace, np.bitwise_xor)
     return enc
 
 
 def _combine_np(hashed: np.ndarray, params: HashParams) -> np.ndarray:
-    """hashed: (..., e, b) -> (..., k, b) via the combine matrix."""
-    shape = hashed.shape[:-2] + (params.output_words, hashed.shape[-1])
+    """hashed: (..., e, n, b) -> (..., k, n, b) via the combine matrix.
+
+    Each row is a Horner sum mod 2^64: one shift per coefficient bit,
+    plus adds.  Equal to summing ``coefficient_multiply`` over each row.
+    """
+    shape = hashed.shape[:-3] + (params.output_words,) + hashed.shape[-2:]
     out = np.empty(shape, dtype=np.uint64)
+    cols = [hashed[..., c, :, :] for c in range(hashed.shape[-3])]
     for r, row in enumerate(params.matrix.entries):
-        # A contiguous accumulator, stored once, is about twice as fast as
-        # summing into the strided row of ``out``.
-        acc = np.zeros(shape[:-2] + shape[-1:], dtype=np.uint64)
-        for c, coeff in enumerate(row):
-            if coeff:
-                acc += coefficient_multiply(coeff, hashed[..., c, :], 64)
-        out[..., r, :] = acc
+        _horner(out[..., r, :, :], cols, row, _double, np.add)
     return out
 
 
@@ -411,9 +431,12 @@ def _hash_words_np(
     ``last`` (B, 0 or 1) holds the zero-padded final partial word when
     ``words`` holds only the whole words of the input.
 
-    The leaf stage takes the instances in runs of about ``_RUN_WORDS``
-    words across the batch, and encodes, hashes and combines each run
-    while it is in cache.
+    The instances go through the leaf stage in runs of about
+    ``_RUN_WORDS`` words across the batch.  Each run is encoded, hashed
+    and combined while it is in cache, and its k trees are then reduced
+    together.  Between runs every tree level keeps its fewer than f
+    unmerged blocks, the stack of ``tree.tree_reduce``, so the memory
+    beyond the input is bounded by the run size.
     """
     layout = seed_layout(params, n_bytes)
     k, b, f, w, d = (
@@ -430,70 +453,57 @@ def _hash_words_np(
     n_words = words.shape[1] + last.shape[1]
     n_inst = n_words // m
 
-    fin_in_words = layout.levels * (f - 1) * b + 1 if n_inst else 1
-    tag = np.full((batch, 1), n_bytes & MASK64, dtype=np.uint64)
-
-    out = np.zeros((batch, k), dtype=np.uint64)
+    levels = layout.levels if n_inst else 0
+    # pending[i]: the (B, k, <f, b) blocks of tree level i not yet merged.
+    pending = [np.empty((batch, k, 0, b), dtype=np.uint64)] * levels
     if n_inst:
         ent = seed_region(layout.ehc_start, layout.ehc_words)
         # Key word (item, block), repeated over the b lanes: it then has the
-        # memory layout of an encoded item, and the NH's inner loops run
-        # over whole items rather than single blocks.
+        # memory layout of an encoded item, and the NH adds whole items.
         ent = ent.reshape(ent.shape[:-1] + (params.encoded_items, 1, w, 1))
-        ent_h = np.repeat(ent, b, axis=-1).swapaxes(-2, -1)
+        ent = np.repeat(ent, b, axis=-1)
+        node_keys = []
+        if levels > 1:
+            tree = seed_region(layout.tree_start, k * layout.tree_words_per_tree)
+            tree = tree.reshape(tree.shape[:-1] + (k, 1, levels, f - 1, 1))
+            node_keys = [np.repeat(tree[..., i, :, :], b, axis=-1) for i in range(levels - 1)]
         run = max(1, _RUN_WORDS // (batch * m))
-        combined = np.empty((batch, n_inst, k, b), dtype=np.uint64)
         for t in range(0, n_inst, run):
             u = min(t + run, n_inst)
             inst = _word_range(words, last, t * m, u * m).reshape(batch, u - t, d, w, b)
-            hashed = _nh_words_np(_encode_np(inst, params).swapaxes(-2, -1), ent_h)
-            combined[:, t:u] = _combine_np(hashed.swapaxes(-3, -2), params)
-
-        for r in range(k):
-            level_seeds = seed_region(
-                layout.tree_start + r * layout.tree_words_per_tree,
-                layout.tree_words_per_tree,
-            )
-            # One pass per level: consecutive groups of f merge into the
-            # next level, the trailing n % f blocks stay as leftovers.
-            # Matches the scalar stack construction value for value.
-            leftover_levels: list[np.ndarray] = []
-            cur = combined[:, :, r, :]
-            lvl = 0
-            while True:
-                cut = cur.shape[1] - cur.shape[1] % f
-                leftover_levels.append(cur[:, cut:, :])
-                if cut == 0:
+            hashed = _nh_words_np(_encode_np(inst, params), ent, axis=-2)
+            blocks = _combine_np(hashed, params)
+            # Consecutive groups of f merge into the next level; the rest
+            # waits for the next run.  The top level never fills.
+            for i in range(levels):
+                if pending[i].shape[2]:
+                    blocks = np.concatenate([pending[i], blocks], axis=2)
+                cut = blocks.shape[2] - blocks.shape[2] % f
+                pending[i] = blocks[:, :, cut:]
+                if not cut:
                     break
-                groups = cur[:, :cut, :].reshape(batch, cut // f, f, b)
-                cur = _nh_node_np(
-                    groups, level_seeds[..., lvl * (f - 1) : (lvl + 1) * (f - 1)]
-                )
-                lvl += 1
-            parts = []
-            for leftovers in leftover_levels:
-                c = leftovers.shape[1]
-                if c < f - 1:
-                    pad = np.zeros((batch, f - 1 - c, b), dtype=np.uint64)
-                    leftovers = np.concatenate([leftovers, pad], axis=1)
-                parts.append(leftovers.reshape(batch, (f - 1) * b))
-            flat = np.concatenate(parts + [tag], axis=1)
-            fin_seed = seed_region(
-                layout.finalize_start + r * layout.finalize_words_per_tree,
-                fin_in_words,
-            )
-            out[:, r] = _nh_words_np(flat, fin_seed)
-    else:
-        for r in range(k):
-            fin_seed = seed_region(
-                layout.finalize_start + r * layout.finalize_words_per_tree, 1
-            )
-            out[:, r] = _nh_words_np(tag, fin_seed)
+                groups = blocks[:, :, :cut].reshape(batch, k, cut // f, f, b)
+                blocks = _nh_node_np(groups, node_keys[i])
+
+    # Each level fills f - 1 block slots, absent blocks are zero, and the
+    # length tag comes last.
+    fin_in_words = levels * (f - 1) * b + 1
+    out = np.empty((batch, k), dtype=np.uint64)
+    for r in range(k):
+        flat = np.zeros((batch, fin_in_words), dtype=np.uint64)
+        for i, blocks in enumerate(pending):
+            lo = i * (f - 1) * b
+            flat[:, lo : lo + blocks.shape[2] * b] = blocks[:, r].reshape(batch, -1)
+        flat[:, -1] = n_bytes & MASK64
+        fin_seed = seed_region(
+            layout.finalize_start + r * layout.finalize_words_per_tree, fin_in_words
+        )
+        out[:, r] = _nh_words_np(flat, fin_seed)
 
     n_tail = n_words - n_inst * m
     if n_tail:
         tail = _word_range(words, last, n_inst * m, n_words)
-        rem = seed_region(layout.remainder_start, layout.remainder_words)
+        rem = seed_region(layout.remainder_start, n_tail + k - 1)
         for r in range(k):
             out[:, r] += _nh_words_np(tail, rem[..., r : r + n_tail])
     return out

@@ -17,6 +17,7 @@ from halftimehash.analysis import (
     two_adic_valuation,
     verify_min_distance,
 )
+from halftimehash.nh import MultCounter
 from halftimehash.params import VARIANTS, ErasureCode, TransformMatrix
 
 from halftimehash import gf16
@@ -211,6 +212,27 @@ def test_multiplication_fields_consistent():
     assert r.multiplications_exact == r.multiplications + r.multiplications_log_term
     assert 0 < r.multiplications_log_term < 10_000
     assert r.ehc_multiplications / r.multiplications_exact > 0.8
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+@settings(max_examples=25, deadline=None)
+@given(
+    n_inst=st.one_of(
+        st.none(),
+        st.builds(lambda j, d: max(0, 8**j + d), st.integers(0, 2), st.integers(-1, 1)),
+    ),
+    length=st.integers(1, 64 * 1024),
+)
+def test_scalar_multiplication_count_equals_exact_formula(width, n_inst, length):
+    # Random lengths up to 64 KiB, and lengths at f^j +- 1 instances
+    # with a random tail
+    p = variant(width)
+    m8 = 8 * p.instance_words
+    n_bytes = length if n_inst is None else max(1, n_inst * m8 + length % m8)
+    counter = MultCounter()
+    seed = expand_seed(b"\x00" * 32, seed_words_needed(p, n_bytes))
+    hash_bytes(bytes(n_bytes), seed, p, engine="scalar", counter=counter)
+    assert counter.total == entropy_report(p, n_bytes).multiplications_exact
 
 
 def test_ehc_bound_values():

@@ -1,3 +1,4 @@
+import dataclasses
 import mmap
 import random
 import tracemalloc
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import halftimehash as hh
-from halftimehash import hasher
+from halftimehash import gf16, hasher
 from halftimehash.cli import fill_bytes
 from halftimehash.hasher import (
     SeedBuffer,
@@ -20,8 +21,8 @@ from halftimehash.hasher import (
     splitmix_mix,
     words_from_bytes,
 )
-from halftimehash.nh import MultCounter, nh_full, words_to_halves
-from halftimehash.params import VARIANTS
+from halftimehash.nh import MultCounter, nh_blockwise, nh_full, words_to_halves
+from halftimehash.params import MASK64, VARIANTS, TransformMatrix, coefficient_multiply
 
 import reference
 
@@ -241,13 +242,125 @@ def test_scalar_lanes_equivalence_boundaries(width):
         )
 
 
+def _draw_words(data, shape) -> np.ndarray:
+    """Random uint64 words with all-ones words mixed in, so that adding a
+    seed overflows both 32-bit halves of many words."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    words = rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
+    ones = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    words[ones] = np.uint64(MASK64)
+    return words
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_xtime_inplace_matches_xtime(data):
+    for dtype in (np.uint64, np.uint16):
+        width = np.dtype(dtype).itemsize * 8
+        words = (_draw_words(data, (3, 40)) >> np.uint64(64 - width)).astype(dtype)
+        want = gf16.xtime(words, width, (1 << width) - 1)
+        got = words.copy()
+        assert gf16.xtime_inplace(got) is got
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_encode_np_matches_scaled_xor(width, data):
+    p = hh.variant(width)
+    d = p.instance_items
+    inst = _draw_words(data, (2, 3, d, p.item_blocks, p.block_words))
+    enc = hasher._encode_np(inst, p)
+    for i in range(d):
+        assert np.array_equal(enc[:, i], inst[:, :, i])
+    for j, row in enumerate(p.code.parity_rows):
+        want = np.zeros_like(inst[:, :, 0])
+        for i, coeff in enumerate(row):
+            want ^= gf16.scale(coeff, inst[:, :, i], 64, MASK64)
+        assert np.array_equal(enc[:, d + j], want)
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_combine_np_matches_coefficient_sum(width, data):
+    p = hh.variant(width)
+    hashed = _draw_words(data, (2, p.encoded_items, 3, p.block_words))
+    out = hasher._combine_np(hashed, p)
+    for r, row in enumerate(p.matrix.entries):
+        want = np.zeros_like(hashed[:, 0])
+        for c, coeff in enumerate(row):
+            want += coefficient_multiply(coeff, hashed[:, c])
+        assert np.array_equal(out[:, r], want)
+
+
+def test_lanes_match_scalar_with_zero_coefficient_rows():
+    # HashParams accepts all-zero parity and combine rows; both engines
+    # must then give those rows the value zero.
+    p = hh.variant(24)
+    code = dataclasses.replace(p.code, parity_rows=((0,) * 7, p.code.parity_rows[1]))
+    matrix = TransformMatrix(((0,) * 9,) + p.matrix.entries[1:])
+    zeroed = dataclasses.replace(p, code=code, matrix=matrix)
+    data = fill_bytes(5 * p.instance_words * 8 + 11)
+    seed = hh.seed_for_input(RANGE_MASTER, zeroed, len(data))
+    assert hh.hash_bytes(data, seed, zeroed) == hh.hash_bytes(
+        data, seed, zeroed, engine="scalar"
+    )
+
+
+def _nh_ref(words, seeds) -> int:
+    return nh_full(words_to_halves(words, 32), words_to_halves(seeds, 32))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_nh_kernels_match_nh_full(data, n):
+    words = _draw_words(data, (2, n))
+    seeds = _draw_words(data, (n,))
+    got = hasher._nh_words_np(words, seeds)
+    for row, value in zip(words.tolist(), got.tolist()):
+        assert value == _nh_ref(row, seeds.tolist())
+    # the leaf's form: NH over axis -2, lanes on the last axis
+    lanes = _draw_words(data, (2, n, 8))
+    lane_seeds = _draw_words(data, (n, 8))
+    got = hasher._nh_words_np(lanes, lane_seeds, axis=-2)
+    for i in range(2):
+        for j in range(8):
+            assert got[i, j] == _nh_ref(lanes[i, :, j].tolist(), lane_seeds[:, j].tolist())
+    # a tree node, keyed with f - 1 words repeated over the lanes
+    f = 8
+    blocks = _draw_words(data, (2, f, 8))
+    node_seed = _draw_words(data, (f - 1,))
+    keys = np.repeat(node_seed[:, None], 8, axis=-1)
+    got = hasher._nh_node_np(blocks, keys)
+    for i in range(2):
+        want = nh_blockwise([tuple(blk) for blk in blocks[i].tolist()], node_seed.tolist(), f)
+        assert tuple(got[i].tolist()) == want
+
+
+def test_nh_kernel_wraps_both_halves():
+    ones = np.full((1, 4), MASK64, dtype=np.uint64)
+    # every half is (2^32 - 1) + (2^32 - 1) = 2^32 - 2 mod 2^32
+    want = 4 * (2**32 - 2) ** 2 % 2**64
+    assert want == _nh_ref([MASK64] * 4, [MASK64] * 4)
+    assert hasher._nh_words_np(ones, ones[0]).tolist() == [want]
+
+
 def _instance_counts(run: int, fanout: int) -> list[int]:
-    """Instance counts at and next to run boundaries and tree levels f^j."""
-    anchors = {run, 2 * run, 3 * run, fanout, fanout**2}
+    """Instance counts at and next to run boundaries and tree levels f^j.
+
+    Three runs while they fit in f^2 instances; beyond that two runs
+    already carry blocks across two tree levels.
+    """
+    anchors = {run, 2 * run, fanout, fanout**2}
+    if 3 * run <= fanout**2:
+        anchors.add(3 * run)
     return sorted({max(0, a + d) for a in anchors for d in (-1, 0, 1)})
 
 
-@pytest.mark.parametrize("run", [1, 2, 3, 8])
+# f + 1 and f^2 - 1 instances per run: tree carries cross two levels.
+@pytest.mark.parametrize("run", [1, 2, 3, 8, 9, 63])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_chunked_lanes_match_scalar_at_run_boundaries(run, data):
@@ -260,17 +373,36 @@ def test_chunked_lanes_match_scalar_at_run_boundaries(run, data):
     n = max(0, n_inst * m8 + data.draw(st.integers(-9, 9)))
     rnd = random.Random(data.draw(st.integers(0, 2**32)))
     inputs = [rnd.randbytes(n), rnd.randbytes(n)]
-    seed = hh.seed_for_input(rnd.randbytes(32), p, n)
+    masters = [rnd.randbytes(32), rnd.randbytes(32)]
+    seed = hh.seed_for_input(masters[0], p, n)
     want = [hh.hash_bytes(x, seed, p, engine="scalar") for x in inputs]
+    other = hh.hash_bytes(inputs[1], hh.seed_for_input(masters[1], p, n), p, engine="scalar")
+    words = np.stack([
+        np.frombuffer(x + bytes(-n % 8), dtype="<u8").astype(np.uint64) for x in inputs
+    ])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hasher, "_RUN_WORDS", run * p.instance_words)
         assert hh.hash_bytes(inputs[0], seed, p) == want[0]
         # a batch of two: the run budget counts the batch axis
-        words = np.stack([
-            np.frombuffer(x + bytes(-n % 8), dtype="<u8").astype(np.uint64) for x in inputs
-        ])
         got = hasher._hash_words_np(words, n, seed.words_np, p)
+        # the same batch, each input under its own seed
+        region = _batched_seed_region(
+            np.stack([np.frombuffer(m, dtype="<u8") for m in masters]).astype(np.uint64)
+        )
+        got_own = hasher._hash_words_np(words, n, region, p)
     assert [tuple(int(v) for v in row) for row in got] == [d.words for d in want]
+    assert [tuple(int(v) for v in row) for row in got_own] == [want[0].words, other.words]
+
+
+def _traced_peak(data, seed, p) -> int:
+    """Peak traced memory of one lanes hash, net of what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        hh.hash_bytes(data, seed, p)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
@@ -285,14 +417,19 @@ def test_lanes_memory_below_input_size(width, unaligned_16m):
     data = unaligned_16m
     p = hh.variant(width)
     seed = hh.seed_for_input(ZERO_MASTER, p, len(data))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        hh.hash_bytes(data, seed, p)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < len(data)
+    assert _traced_peak(data, seed, p) < len(data)
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+def test_lanes_memory_bounded_by_run_size(width):
+    # Between runs the trees keep fewer than f blocks per level, so the
+    # memory beyond the input does not grow with the input.
+    p = hh.variant(width)
+    peaks = []
+    for n in (4 * 2**20 + 3, 32 * 2**20 + 3):
+        data = bytes(n)
+        peaks.append(_traced_peak(data, hh.seed_for_input(ZERO_MASTER, p, n), p))
+    assert peaks[1] - peaks[0] < 2**20
 
 
 def test_unknown_engine_rejected():
