@@ -207,18 +207,6 @@ class EntropyReport:
     ehc_multiplications: int
 
 
-def _heights(params: HashParams, n_inst: int) -> tuple[int, int]:
-    if n_inst < 1:
-        return 0, 0
-    h_ceil = tree.tree_height(n_inst, params.fanout)
-    h_floor = 0
-    n = n_inst
-    while n >= params.fanout:
-        n //= params.fanout
-        h_floor += 1
-    return h_ceil, h_floor
-
-
 def entropy_report(params: HashParams, n_bytes: int) -> EntropyReport:
     """Evaluate the collision-probability, seed and cost formulas at a length."""
     if n_bytes < 1:
@@ -227,7 +215,9 @@ def entropy_report(params: HashParams, n_bytes: int) -> EntropyReport:
     p = params.max_det_valuation
     n_words = (n_bytes + 7) // 8
     n_inst = n_words // params.instance_words
-    h, h_floor = _heights(params, n_inst)
+    h = tree.tree_height(n_inst, f) if n_inst else 0
+    levels = tree.level_count(n_inst, f) if n_inst else 0
+    h_floor = max(levels - 1, 0)
 
     epsilon_scale = (1 << (k * p)) + h**k + 1
     epsilon_log2 = 32.0 * k - math.log2(epsilon_scale)
@@ -237,7 +227,6 @@ def entropy_report(params: HashParams, n_bytes: int) -> EntropyReport:
     leading = (params.entropy_words + k) * b * n_inst
     ehc_mults = params.entropy_words * b * n_inst
     tree_mults = k * (f - 1) * b * tree.node_executions(n_inst, f) if n_inst else 0
-    levels = tree.level_count(n_inst, f) if n_inst else 0
     finalize_mults = k * ((f - 1) * b * levels + 1)
     tail_words = n_words - n_inst * params.instance_words
     remainder_mults = k * tail_words

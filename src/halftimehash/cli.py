@@ -7,6 +7,9 @@ Exit codes: 0 success, 1 property/check failure, 2 usage or IO error.
 from __future__ import annotations
 
 import argparse
+import mmap
+import os
+import stat
 import statistics
 import sys
 import time
@@ -34,14 +37,15 @@ def parse_size(text: str) -> int:
     text = text.strip()
     if not text:
         raise argparse.ArgumentTypeError("empty size")
-    mult = 1
+    number, mult = text, 1
     if text[-1].upper() in _SIZE_SUFFIXES:
-        mult = 1024 ** _SIZE_SUFFIXES[text[-1].upper()]
-        text = text[:-1]
+        number, mult = text[:-1], 1024 ** _SIZE_SUFFIXES[text[-1].upper()]
     try:
-        value = int(text)
+        value = int(number)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad size {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"negative size {text!r}")
     return value * mult
 
 
@@ -53,10 +57,15 @@ def fill_bytes(n: int, fill_seed: int = FILL_SEED) -> bytes:
     return words.astype("<u8").tobytes()[:n]
 
 
-def _read_input(path: str | None) -> bytes:
+def _read_input(path: str | None):
+    """The input's bytes.  A regular, non-empty file is mapped read-only and
+    hashed in place; stdin, empty files and other files are read."""
     if path is None or path == "-":
         return sys.stdin.buffer.read()
     with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size:
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         return fh.read()
 
 
@@ -167,6 +176,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     sizes = [parse_size(s) for s in args.sizes.split(",")]
     print("size_bytes,variant,bytes_per_second,bytes_per_cycle")
     for size in sizes:
@@ -269,7 +280,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,9 @@ each tree level keeps fewer than f blocks, so the memory it needs beyond
 the input is bounded by the run size, however long the input.  Both accept
 any C-contiguous bytes-like input.  A digest is a function of (input bytes,
 master seed, variant) only; seed buffers may be expanded for any sufficient
-capacity without changing results.
+capacity without changing results.  ``expand_seed`` computes all the words
+once and keeps them, ``8 * capacity`` bytes, in one read-only array that
+every hash call slices.
 
 Parameter sets and seed buffers are immutable, so one (params, seed) pair
 can be shared across threads; every hash call owns its transient state.
@@ -20,7 +22,7 @@ can be shared across threads; every hash call owns its transient state.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -42,14 +44,6 @@ class SeedSizeError(ValueError):
     """Seed buffer capacity below what this input length requires."""
 
 
-def splitmix_mix(z: int) -> int:
-    """The splitmix64 output finalizer."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MIX_1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX_2) & MASK64
-    return z ^ (z >> 31)
-
-
 def _master_fold(master: bytes) -> int:
     if len(master) != 32:
         raise ValueError("master seed must be exactly 32 bytes")
@@ -57,14 +51,10 @@ def _master_fold(master: bytes) -> int:
     return a ^ b ^ c ^ d
 
 
-def _stream_word(fold: int, index: int) -> int:
-    # Counter form of "state += GOLDEN_GAMMA; output mix(state)": the state
-    # after i+1 steps is fold + (i+1)*gamma, so any word is random access.
-    return splitmix_mix((fold + (index + 1) * GOLDEN_GAMMA) & MASK64)
-
-
 def _stream_words_np(fold, start: int, count: int) -> np.ndarray:
-    """Vectorized splitmix stream; ``fold`` may be an int or an (B, 1) array."""
+    """Words ``[start, start + count)`` of the splitmix64 stream seeded by
+    ``fold``, an int or a (B, 1) array.  The state after i+1 steps of
+    "state += GOLDEN_GAMMA" is fold + (i+1)*gamma: any word is random access."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z = (np.asarray(fold, dtype=np.uint64) + idx * np.uint64(GOLDEN_GAMMA))
     z = (z ^ (z >> 30)) * np.uint64(_MIX_1)
@@ -74,32 +64,37 @@ def _stream_words_np(fold, start: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeedBuffer:
-    """Deterministic expansion of a 32-byte master seed into 64-bit words."""
+    """A 32-byte master seed expanded once into ``capacity`` 64-bit words,
+    kept as one read-only uint64 array; equality and hashing use only
+    ``(master, capacity)``."""
 
     master: bytes
     capacity: int
-    fold: int
+    _words: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_master(cls, master: bytes, capacity: int) -> "SeedBuffer":
         if capacity < 0:
             raise ValueError("capacity must be nonnegative")
-        return cls(bytes(master), capacity, _master_fold(master))
+        words = _stream_words_np(_master_fold(master), 0, capacity)
+        words.flags.writeable = False
+        return cls(bytes(master), capacity, words)
 
     def word(self, index: int) -> int:
         if not 0 <= index < self.capacity:
             raise IndexError("seed word index out of range")
-        return _stream_word(self.fold, index)
+        return int(self._words[index])
 
     def words(self, start: int, count: int) -> list[int]:
         if start < 0 or start + count > self.capacity:
             raise IndexError("seed word range out of range")
-        return [_stream_word(self.fold, i) for i in range(start, start + count)]
+        return self._words[start : start + count].tolist()
 
     def words_np(self, start: int, count: int) -> np.ndarray:
+        """A read-only view of the stored words ``[start, start + count)``."""
         if start < 0 or start + count > self.capacity:
             raise IndexError("seed word range out of range")
-        return _stream_words_np(self.fold, start, count)
+        return self._words[start : start + count]
 
 
 def expand_seed(master: bytes, needed: int) -> SeedBuffer:
@@ -134,6 +129,8 @@ def instance_count(params: HashParams, n_bytes: int) -> int:
 
 def seed_layout(params: HashParams, n_bytes: int) -> SeedLayout:
     """The seed regions ``hash_bytes`` reads for an ``n_bytes`` input."""
+    if n_bytes < 0:
+        raise ValueError(f"input length must be nonnegative, got n_bytes={n_bytes}")
     n_inst = instance_count(params, n_bytes)
     levels = tree_mod.level_count(n_inst, params.fanout) if n_inst else 1
     return seed_layout_for_levels(params, levels)

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import ehc as ehc_mod
 from . import tree as tree_mod
-from .hasher import _stream_word
+from .hasher import _stream_words_np
 from .nh import nh_full
-from .params import HashParams
+from .params import MASK64, HashParams
 
 _EXHAUSTIVE_LIMIT = 1 << 32
 
@@ -56,8 +56,10 @@ class ProbeResult:
     exhaustive: bool
 
 
-def _fixed_seed(salt: int, index: int, half_bits: int) -> int:
-    return _stream_word(salt, index) & ((1 << half_bits) - 1)
+def _fixed_seeds(salt: int, count: int, half_bits: int) -> list[int]:
+    """``count`` seed constants of ``half_bits`` bits; any int salt works mod 2^64."""
+    words = _stream_words_np(salt & MASK64, 0, count)
+    return (words & np.uint64((1 << half_bits) - 1)).tolist()
 
 
 def _nh_delta_distribution(probe: DeltaProbe) -> tuple[Counter, int]:
@@ -80,7 +82,7 @@ def _nh_delta_distribution(probe: DeltaProbe) -> tuple[Counter, int]:
     space = 1 << (2 * h)
     if space > _EXHAUSTIVE_LIMIT:
         raise ValueError("seed space too large for exhaustive enumeration")
-    seed = [_fixed_seed(probe.salt, i, h) for i in range(2 * pairs)]
+    seed = _fixed_seeds(probe.salt, 2 * pairs, h)
     dist: Counter = Counter()
     for s0 in range(1 << h):
         seed[2 * target] = s0
@@ -116,9 +118,7 @@ def _ehc_delta_distribution(probe: DeltaProbe) -> tuple[Counter, int]:
     if 1 << space_bits > _EXHAUSTIVE_LIMIT:
         raise ValueError("seed space too large for exhaustive enumeration")
 
-    entropy = [
-        _fixed_seed(probe.salt, i, 2 * h) for i in range(params.entropy_words)
-    ]
+    entropy = _fixed_seeds(probe.salt, params.entropy_words, 2 * h)
 
     def combined(items, ent):
         hashed = ehc_mod.hash_encoded(ehc_mod.encode(items, params.code, full_bits), ent, h)

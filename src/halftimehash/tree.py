@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .nh import MultCounter, nh_blockwise, nh_full
+from .nh import MultCounter, nh_blockwise, nh_full, words_to_halves
 
 Block = tuple[int, ...]
 LevelStack = list[list[Block]]
@@ -125,10 +125,10 @@ def tree_finalize(
     words.append(n_tag & full_mask)
     if len(seed_words) < len(words):
         raise ValueError("finalize seed region shorter than the slot layout")
-    half_mask = (1 << half_bits) - 1
-    data_halves: list[int] = []
-    seed_halves: list[int] = []
-    for word, seed in zip(words, seed_words):
-        data_halves += [word & half_mask, (word >> half_bits) & half_mask]
-        seed_halves += [seed & half_mask, (seed >> half_bits) & half_mask]
-    return nh_full(data_halves, seed_halves, half_bits, counter, "finalize")
+    return nh_full(
+        words_to_halves(words, half_bits),
+        words_to_halves(seed_words[: len(words)], half_bits),
+        half_bits,
+        counter,
+        "finalize",
+    )

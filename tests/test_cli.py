@@ -1,9 +1,11 @@
+import argparse
 import io
+import mmap
 
 import pytest
 
 import halftimehash as hh
-from halftimehash.cli import fill_bytes, main, parse_size
+from halftimehash.cli import _read_input, fill_bytes, main, parse_size
 
 GOLDEN_EMPTY_24 = "f76f757856e9c252a8a1ce42dc0e2a5df09d621286a62a2d"
 
@@ -21,6 +23,35 @@ def test_parse_size_suffixes():
     assert parse_size("1E") == 1024**6
     with pytest.raises(Exception):
         parse_size("x1")
+    assert parse_size("0") == 0
+
+
+@pytest.mark.parametrize("text", ["-1", "-1K", " -5M "])
+def test_parse_size_rejects_negative(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="negative size"):
+        parse_size(text)
+
+
+def test_analyze_negative_length_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--length=-1K"])
+    assert exc.value.code == 2
+    assert "negative size '-1K'" in capsys.readouterr().err
+
+
+def test_bench_negative_size_exit_2(capsys):
+    code, out, err = run(capsys, "bench", "--sizes=-1K", "--reps", "1")
+    assert code == 2
+    assert "negative size '-1K'" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_bench_reps_below_one_exit_2(capsys, reps):
+    code, out, err = run(capsys, "bench", "--sizes", "1K", "--reps", reps)
+    assert code == 2
+    assert "--reps must be at least 1" in err
+    assert out == ""
 
 
 def test_hash_empty_stdin_golden(capsys, monkeypatch):
@@ -38,6 +69,25 @@ def test_hash_file_deterministic(capsys, tmp_path):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.strip() == hh.digest(fill_bytes(3000)).hex()
+
+
+def test_hash_empty_file_golden(capsys, tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"")
+    code, out, _ = run(capsys, "hash", "--variant", "24", str(path))
+    assert code == 0
+    assert out.strip() == GOLDEN_EMPTY_24
+
+
+def test_hash_reads_regular_files_through_mmap(tmp_path):
+    full = tmp_path / "data.bin"
+    full.write_bytes(fill_bytes(3000))
+    data = _read_input(str(full))
+    assert isinstance(data, mmap.mmap)
+    assert bytes(data) == fill_bytes(3000)
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    assert _read_input(str(empty)) == b""
 
 
 def test_hash_seed_hex_and_file_agree(capsys, tmp_path):

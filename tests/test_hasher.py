@@ -18,7 +18,6 @@ from halftimehash.hasher import (
     hash_remainder,
     seed_layout,
     seed_words_needed,
-    splitmix_mix,
     words_from_bytes,
 )
 from halftimehash.nh import MultCounter, nh_blockwise, nh_full, words_to_halves
@@ -137,7 +136,33 @@ def test_expand_seed_bit_flip_diffusion():
 
 def test_splitmix_mix_finalizer_constants():
     # mix(gamma) is the first word of the all-zero master's stream
-    assert expand_seed(ZERO_MASTER, 1).word(0) == splitmix_mix(0x9E3779B97F4A7C15)
+    assert expand_seed(ZERO_MASTER, 1).word(0) == reference.splitmix_stream(0, 1)[0]
+
+
+def test_words_np_is_read_only_view_of_stored_words():
+    seed = expand_seed(RANGE_MASTER, 64)
+    view = seed.words_np(8, 16)
+    assert not view.flags.writeable
+    with pytest.raises(ValueError):
+        view[0] = 0
+    # every call slices the same stored array; nothing is recomputed
+    assert np.shares_memory(view, seed.words_np(0, 64))
+    assert view.tolist() == seed.words(8, 16) == [seed.word(i) for i in range(8, 24)]
+    with pytest.raises(IndexError):
+        seed.words_np(60, 5)
+    with pytest.raises(IndexError):
+        seed.words(-1, 2)
+
+
+def test_equal_seed_buffers_compare_and_hash_equal():
+    a = expand_seed(RANGE_MASTER, 64)
+    b = SeedBuffer.from_master(RANGE_MASTER, 64)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != expand_seed(RANGE_MASTER, 65)
+    assert a != expand_seed(ZERO_MASTER, 64)
+    assert repr(a) == f"SeedBuffer(master={RANGE_MASTER!r}, capacity=64)"
 
 
 def test_seed_layout_matches_budget_formula():
@@ -155,6 +180,15 @@ def test_seed_layout_matches_budget_formula():
                 + p.instance_words + k - 1
             )
             assert seed_words_needed(p, n_bytes) == lay.total_words
+
+
+@pytest.mark.parametrize("n_bytes", [-1, -8, -9, -(2**20)])
+def test_negative_length_rejected(n_bytes):
+    for p in VARIANTS.values():
+        with pytest.raises(ValueError, match=f"n_bytes={n_bytes}"):
+            seed_layout(p, n_bytes)
+        with pytest.raises(ValueError, match=f"n_bytes={n_bytes}"):
+            seed_words_needed(p, n_bytes)
 
 
 def test_undersized_seed_rejected():

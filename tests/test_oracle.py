@@ -5,6 +5,8 @@ from halftimehash import oracle
 from halftimehash.cli import _toy_ehc_probe
 from halftimehash.oracle import DeltaProbe, max_delta_probability, tree_collision_estimate
 
+import reference
+
 
 def test_identical_inputs_probability_one():
     probe = DeltaProbe((1, 2), (1, 2), 0, 4)
@@ -15,6 +17,15 @@ def test_identical_inputs_probability_one():
 def test_identical_inputs_nonzero_delta_rejected():
     with pytest.raises(ValueError):
         DeltaProbe((1, 2), (1, 2), 5, 4)
+
+
+@pytest.mark.parametrize("salt", [0, 7, 2**40 + 3, 2**64 - 1, -1])
+def test_fixed_seeds_are_the_salted_splitmix_stream(salt):
+    # The pinned seed constants are the masked splitmix words; a salt is
+    # taken mod 2^64, so -1 and 2^64 - 1 pin the same constants.
+    want = reference.splitmix_stream(salt % 2**64, 12)
+    for bits in (4, 8):
+        assert oracle._fixed_seeds(salt, 12, bits) == [w % 2**bits for w in want]
 
 
 def test_nh_width4_bound_random_probes():
