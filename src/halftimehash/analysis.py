@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import gf16, tree
+from . import ehc, tree
 from .hasher import seed_layout, seed_layout_for_levels
 from .params import ErasureCode, HashParams, TransformMatrix
 
@@ -77,16 +77,9 @@ def max_two_adic_valuation(matrix: TransformMatrix, k: int) -> int:
     return best
 
 
-def _encode_symbols(code: ErasureCode, symbols, symbol_bits: int, mask: int):
-    """Word-level encoding: one machine word per code symbol."""
-    out = list(symbols)
-    for row in code.parity_rows:
-        acc = symbols[0] & 0
-        for coeff, sym in zip(row, symbols):
-            if coeff:
-                acc = acc ^ gf16.scale(coeff, sym, symbol_bits, mask)
-        out.append(acc)
-    return out
+def _encode_symbols(code: ErasureCode, symbols, width: int) -> list:
+    """Codeword symbols from ``ehc.encode``, each symbol a one-word item."""
+    return [item[0][0] for item in ehc.encode([((s,),) for s in symbols], code, width)]
 
 
 def _exhaustive_min_distance(code: ErasureCode, symbol_bits: int) -> int:
@@ -98,7 +91,6 @@ def _exhaustive_min_distance(code: ErasureCode, symbol_bits: int) -> int:
     nonzero input difference (the code is linear).
     """
     d = code.arity_in
-    mask = (1 << symbol_bits) - 1
     nonzero = np.arange(1, 1 << symbol_bits, dtype=np.uint64)
     best = d + len(code.parity_rows) + 1
     s = 1
@@ -106,14 +98,14 @@ def _exhaustive_min_distance(code: ErasureCode, symbol_bits: int) -> int:
         grids = np.meshgrid(*([nonzero] * s), indexing="ij")
         vals = np.stack([g.ravel() for g in grids], axis=1)  # (combos, s)
         for support in combinations(range(d), s):
+            # Off-support positions are the int 0, which ehc.encode's
+            # in-place XOR accepts beside numpy columns.
+            symbols = [0] * d
+            for idx, pos in enumerate(support):
+                symbols[pos] = vals[:, idx]
             weights = np.full(len(vals), s, dtype=np.int64)
-            for row in code.parity_rows:
-                acc = np.zeros(len(vals), dtype=np.uint64)
-                for pos, idx in zip(support, range(s)):
-                    coeff = row[pos]
-                    if coeff:
-                        acc ^= gf16.scale(coeff, vals[:, idx], symbol_bits, mask)
-                weights += acc != 0
+            for parity in _encode_symbols(code, symbols, symbol_bits)[d:]:
+                weights += parity != 0
             best = min(best, int(weights.min()))
         s += 1
     return best
@@ -134,8 +126,8 @@ def _random_trial_min_distance(
         same = np.all(x == y, axis=1)
         if same.any():
             y[same, 0] ^= np.uint64(1)
-        ex = _encode_symbols(code, [x[:, i] for i in range(d)], 64, (1 << 64) - 1)
-        ey = _encode_symbols(code, [y[:, i] for i in range(d)], 64, (1 << 64) - 1)
+        ex = _encode_symbols(code, [x[:, i] for i in range(d)], 64)
+        ey = _encode_symbols(code, [y[:, i] for i in range(d)], 64)
         dist = np.zeros(n, dtype=np.int64)
         for a, b in zip(ex, ey):
             dist += a != b
@@ -152,10 +144,12 @@ def verify_min_distance(
     """Measure the code's minimum distance and gate it against the declaration.
 
     Exhaustive at ``symbol_bits`` (the construction applies the same GF(16)
-    maps to independent bit-planes, so a full-width word is a direct sum of
-    reduced-width copies and the reduced measurement is exact), plus random
-    full-width trials as a cross-check.  Raises :class:`CodeDistanceError`
-    if the measured distance is below ``code.min_distance``.
+    maps to independent 4-bit lanes, 16 to a 64-bit word, so a full-width
+    word is a direct sum of reduced-width copies and the reduced measurement
+    is exact), plus random full-width trials as a cross-check.  Both
+    measurements encode through :func:`halftimehash.ehc.encode`.  Raises
+    :class:`CodeDistanceError` if the measured distance is below
+    ``code.min_distance``.
     """
     if not 1 <= symbol_bits <= 8:
         raise ValueError("symbol_bits must be in 1..8")

@@ -86,13 +86,13 @@ class SeedBuffer:
         return int(self._words[index])
 
     def words(self, start: int, count: int) -> list[int]:
-        if start < 0 or start + count > self.capacity:
+        if start < 0 or count < 0 or start + count > self.capacity:
             raise IndexError("seed word range out of range")
         return self._words[start : start + count].tolist()
 
     def words_np(self, start: int, count: int) -> np.ndarray:
         """A read-only view of the stored words ``[start, start + count)``."""
-        if start < 0 or start + count > self.capacity:
+        if start < 0 or count < 0 or start + count > self.capacity:
             raise IndexError("seed word range out of range")
         return self._words[start : start + count]
 

@@ -39,7 +39,6 @@ class DeltaProbe:
     y: tuple
     delta: int | None
     half_bits: int
-    exhaustive: bool = True
     params: HashParams | None = None
     salt: int = 0
 
@@ -53,7 +52,6 @@ class ProbeResult:
     probability: float
     delta: int | None
     seeds_probed: int
-    exhaustive: bool
 
 
 def _fixed_seeds(salt: int, count: int, half_bits: int) -> list[int]:
@@ -94,8 +92,9 @@ def _nh_delta_distribution(probe: DeltaProbe) -> tuple[Counter, int]:
 
 
 def _ehc_delta_distribution(probe: DeltaProbe) -> tuple[Counter, int]:
-    """Distribution of the combined-output difference vector over the seeds
-    of the differing encoded positions (all other entropy pinned)."""
+    """Distribution of the ``ehc.compress_instance`` output difference
+    vector over the seeds of the differing encoded positions (all other
+    entropy pinned)."""
     params = probe.params
     if params is None:
         raise ValueError("ehc probes need params")
@@ -119,11 +118,6 @@ def _ehc_delta_distribution(probe: DeltaProbe) -> tuple[Counter, int]:
         raise ValueError("seed space too large for exhaustive enumeration")
 
     entropy = _fixed_seeds(probe.salt, params.entropy_words, 2 * h)
-
-    def combined(items, ent):
-        hashed = ehc_mod.hash_encoded(ehc_mod.encode(items, params.code, full_bits), ent, h)
-        return ehc_mod.combine(hashed, params.matrix, h)
-
     dist: Counter = Counter()
     total = 1 << space_bits
     k = params.output_words
@@ -133,26 +127,20 @@ def _ehc_delta_distribution(probe: DeltaProbe) -> tuple[Counter, int]:
         for pos in enumerated:
             ent[pos] = v & full_mask
             v >>= full_bits
-        cx = combined(probe.x, ent)
-        cy = combined(probe.y, ent)
+        cx = ehc_mod.compress_instance(probe.x, ent, params, h)
+        cy = ehc_mod.compress_instance(probe.y, ent, params, h)
         delta = tuple((cx[r][0] - cy[r][0]) & full_mask for r in range(k))
         dist[delta] += 1
     return dist, total
 
 
 def max_delta_probability(stage: str, probe: DeltaProbe) -> ProbeResult:
-    """Measured delta-probability for a probe, exhaustively when feasible.
-
-    Exhaustive mode enumerates only the seeds at the differing positions;
-    statistical mode samples seeds with a Chernoff-style sample size and is
-    selected with ``probe.exhaustive=False``.
-    """
+    """Measured delta-probability for a probe, enumerating every value of
+    the seeds at the differing positions."""
     if stage not in ("nh", "ehc"):
         raise ValueError(f"unknown stage {stage!r}")
     if probe.x == probe.y:
-        return ProbeResult(1.0, 0, 0, probe.exhaustive)
-    if not probe.exhaustive:
-        return _statistical_probe(stage, probe)
+        return ProbeResult(1.0, 0, 0)
     dist, space = (
         _nh_delta_distribution(probe)
         if stage == "nh"
@@ -162,24 +150,7 @@ def max_delta_probability(stage: str, probe: DeltaProbe) -> ProbeResult:
         count = max(dist.values())
     else:
         count = dist.get(probe.delta, 0)
-    return ProbeResult(count / space, probe.delta, space, True)
-
-
-def _statistical_probe(stage: str, probe: DeltaProbe, samples: int = 1 << 16) -> ProbeResult:
-    """Random-seed sampling fallback for seed spaces beyond enumeration."""
-    h = probe.half_bits
-    full_mask = (1 << (2 * h)) - 1
-    rng = np.random.default_rng(probe.salt or 1)
-    dist: Counter = Counter()
-    if stage != "nh":
-        raise ValueError("statistical mode is implemented for the nh stage")
-    n = len(probe.x)
-    for _ in range(samples):
-        seed = [int(v) for v in rng.integers(0, 1 << h, size=n)]
-        diff = (nh_full(probe.x, seed, h) - nh_full(probe.y, seed, h)) & full_mask
-        dist[diff] += 1
-    count = max(dist.values()) if probe.delta is None else dist.get(probe.delta, 0)
-    return ProbeResult(count / samples, probe.delta, samples, False)
+    return ProbeResult(count / space, probe.delta, space)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from halftimehash.analysis import (
 from halftimehash.nh import MultCounter
 from halftimehash.params import VARIANTS, ErasureCode, TransformMatrix
 
-from halftimehash import gf16
+from halftimehash import ehc, gf16
 import reference
 
 
@@ -96,6 +96,22 @@ def test_shipped_codes_reach_declared_distance(width):
     p = variant(width)
     measured = verify_min_distance(p.code, 4, trials=10**5)
     assert measured >= p.output_words
+    # exact, not just at least: an enumeration that overshoots would pass above
+    assert analysis._exhaustive_min_distance(p.code, 4) == p.code.min_distance
+
+
+def test_distance_checks_encode_through_ehc(monkeypatch):
+    # Zeroing the last parity drops the v24 code to distance 2, so a check
+    # that really encodes through ehc.encode must reject it.
+    real_encode = ehc.encode
+
+    def encode_without_last_parity(items, code, width=64):
+        out = real_encode(items, code, width)
+        return out[:-1] + [tuple(tuple(w & 0 for w in block) for block in out[-1])]
+
+    monkeypatch.setattr(ehc, "encode", encode_without_last_parity)
+    with pytest.raises(CodeDistanceError):
+        verify_min_distance(variant(24).code, 4, trials=10**4)
 
 
 def test_xor_parity_distance_two():

@@ -154,6 +154,14 @@ def test_words_np_is_read_only_view_of_stored_words():
         seed.words(-1, 2)
 
 
+@pytest.mark.parametrize("method", ["words", "words_np"])
+def test_negative_word_count_rejected(method):
+    # [5, 3) lies inside the buffer, but a negative count is no range
+    seed = expand_seed(RANGE_MASTER, 64)
+    with pytest.raises(IndexError):
+        getattr(seed, method)(5, -2)
+
+
 def test_equal_seed_buffers_compare_and_hash_equal():
     a = expand_seed(RANGE_MASTER, 64)
     b = SeedBuffer.from_master(RANGE_MASTER, 64)

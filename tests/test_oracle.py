@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halftimehash import oracle
+from halftimehash import ehc, oracle
 from halftimehash.cli import _toy_ehc_probe
 from halftimehash.oracle import DeltaProbe, max_delta_probability, tree_collision_estimate
 
@@ -37,7 +37,6 @@ def test_nh_width4_bound_random_probes():
         if x == y:
             y = (y[0] ^ 3,) + y[1:]
         res = max_delta_probability("nh", DeltaProbe(x, y, None, 4, salt=i))
-        assert res.exhaustive
         assert res.seeds_probed == 256
         assert res.probability <= bound
 
@@ -52,14 +51,6 @@ def test_nh_width4_specific_delta_never_exceeds_worst():
         assert res.probability <= worst
 
 
-def test_nh_statistical_mode_reports_samples():
-    probe = DeltaProbe((1, 2, 3, 4), (5, 2, 3, 4), None, 4, exhaustive=False, salt=3)
-    res = max_delta_probability("nh", probe)
-    assert not res.exhaustive
-    assert res.seeds_probed > 0
-    assert res.probability <= 4 * 2**-4  # loose sanity on the estimate
-
-
 def test_unknown_stage_rejected():
     with pytest.raises(ValueError):
         max_delta_probability("tree", DeltaProbe((1,), (2,), None, 4))
@@ -69,8 +60,19 @@ def test_ehc_toy_meets_scaled_adu_bound():
     toy, probe = _toy_ehc_probe()
     res = max_delta_probability("ehc", probe)
     bound = 2.0 ** (toy.output_words * (toy.max_det_valuation - 4))
-    assert res.exhaustive
+    assert res.seeds_probed == 2**16
     assert res.probability <= bound
+
+
+def test_ehc_probe_runs_the_reference_leaf_stage(monkeypatch):
+    # A leaf stage that forgets its input collides on every seed; the probe
+    # must see that, so it has to hash through ehc.compress_instance.
+    monkeypatch.setattr(
+        ehc, "compress_instance", lambda items, ent, params, h: [(0,), (0,)]
+    )
+    toy, probe = _toy_ehc_probe()
+    res = max_delta_probability("ehc", probe)
+    assert res.probability > 2.0 ** (toy.output_words * (toy.max_det_valuation - 4))
 
 
 def test_ehc_toy_with_even_determinants():
