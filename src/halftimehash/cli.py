@@ -144,7 +144,7 @@ def _verify_properties(quick: bool):
     if not quick:
         toy, probe = _toy_ehc_probe()
         res = oracle.max_delta_probability("ehc", probe)
-        b = 2.0 ** (toy.output_words * (toy.max_det_valuation - 4))
+        b = 2.0 ** -analysis.ehc_bound(toy, 4)
         yield "ehc-delta-universality-w4", res.probability <= b, (
             f"max {res.probability:.6f} vs bound {b:.6f}"
         )
@@ -156,8 +156,8 @@ def _toy_ehc_probe(matrix_entries=((1, 0, 1), (0, 1, 1))):
 
     matrix = TransformMatrix(matrix_entries)
     measured_p = analysis.max_two_adic_valuation(matrix, 2)
-    code = ErasureCode(2, 3, 2, "xor-parity", ((1, 1),))
-    toy = HashParams(16, 2, 3, 2, 1, 1, 2, measured_p, matrix, code)
+    code = ErasureCode(2, min_distance=2, parity_rows=((1, 1),))
+    toy = HashParams(matrix, code, 1, 1, 2, measured_p)
     x = (((3,),), ((5,),))
     y = (((3,),), ((9,),))
     return toy, oracle.DeltaProbe(x, y, None, 4, params=toy, salt=7)

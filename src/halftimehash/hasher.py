@@ -64,21 +64,21 @@ def _stream_words_np(fold, start: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeedBuffer:
-    """A 32-byte master seed expanded once into ``capacity`` 64-bit words,
-    kept as one read-only uint64 array; equality and hashing use only
-    ``(master, capacity)``."""
+    """A 32-byte master seed expanded into ``capacity`` 64-bit words.  Only
+    ``(master, capacity)`` is given; construction computes the words from
+    them, once, into one read-only uint64 array."""
 
     master: bytes
     capacity: int
-    _words: np.ndarray = field(repr=False, compare=False)
+    _words: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_master(cls, master: bytes, capacity: int) -> "SeedBuffer":
-        if capacity < 0:
+    def __post_init__(self):
+        if self.capacity < 0:
             raise ValueError("capacity must be nonnegative")
-        words = _stream_words_np(_master_fold(master), 0, capacity)
+        words = _stream_words_np(_master_fold(self.master), 0, self.capacity)
         words.flags.writeable = False
-        return cls(bytes(master), capacity, words)
+        object.__setattr__(self, "master", bytes(self.master))
+        object.__setattr__(self, "_words", words)
 
     def word(self, index: int) -> int:
         if not 0 <= index < self.capacity:
@@ -99,7 +99,7 @@ class SeedBuffer:
 
 def expand_seed(master: bytes, needed: int) -> SeedBuffer:
     """Expand a 32-byte master into ``needed`` deterministic 64-bit words."""
-    return SeedBuffer.from_master(master, needed)
+    return SeedBuffer(master, needed)
 
 
 @dataclass(frozen=True)
@@ -230,19 +230,13 @@ def hash_remainder(
     return tuple(out)
 
 
-def _check_capacity(seed: SeedBuffer, layout: SeedLayout) -> None:
-    if seed.capacity < layout.total_words:
-        raise SeedSizeError(
-            f"seed buffer holds {seed.capacity} words but this input needs "
-            f"{layout.total_words}; expand with seed_words_needed()"
-        )
-
-
 def _hash_scalar(
-    data: memoryview, seed: SeedBuffer, params: HashParams, counter: MultCounter | None
+    data: memoryview,
+    seed: SeedBuffer,
+    params: HashParams,
+    layout: SeedLayout,
+    counter: MultCounter | None,
 ) -> Digest:
-    layout = seed_layout(params, len(data))
-    _check_capacity(seed, layout)
     words = words_from_bytes(data)
     k, b, f, w, d = (
         params.output_words,
@@ -420,10 +414,12 @@ def _hash_words_np(
     n_bytes: int,
     seed_region,
     params: HashParams,
+    layout: SeedLayout,
     last: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Hash a (B, n_words) batch; ``seed_region(start, count)`` returns seed
-    word arrays broadcastable against the batch.  Returns (B, k) words.
+    """Hash a (B, n_words) batch of ``n_bytes`` inputs under ``layout =
+    seed_layout(params, n_bytes)``; ``seed_region(start, count)`` returns
+    seed word arrays broadcastable against the batch.  Returns (B, k) words.
 
     ``last`` (B, 0 or 1) holds the zero-padded final partial word when
     ``words`` holds only the whole words of the input.
@@ -435,7 +431,6 @@ def _hash_words_np(
     unmerged blocks, the stack of ``tree.tree_reduce``, so the memory
     beyond the input is bounded by the run size.
     """
-    layout = seed_layout(params, n_bytes)
     k, b, f, w, d = (
         params.output_words,
         params.block_words,
@@ -482,20 +477,19 @@ def _hash_words_np(
                 groups = blocks[:, :, :cut].reshape(batch, k, cut // f, f, b)
                 blocks = _nh_node_np(groups, node_keys[i])
 
-    # Each level fills f - 1 block slots, absent blocks are zero, and the
-    # length tag comes last.
+    # One finalize row per tree: each level fills f - 1 block slots, absent
+    # blocks are zero, the length tag comes last, and tree r's key starts
+    # its finalize region.
     fin_in_words = levels * (f - 1) * b + 1
-    out = np.empty((batch, k), dtype=np.uint64)
-    for r in range(k):
-        flat = np.zeros((batch, fin_in_words), dtype=np.uint64)
-        for i, blocks in enumerate(pending):
-            lo = i * (f - 1) * b
-            flat[:, lo : lo + blocks.shape[2] * b] = blocks[:, r].reshape(batch, -1)
-        flat[:, -1] = n_bytes & MASK64
-        fin_seed = seed_region(
-            layout.finalize_start + r * layout.finalize_words_per_tree, fin_in_words
-        )
-        out[:, r] = _nh_words_np(flat, fin_seed)
+    flat = np.zeros((batch, k, fin_in_words), dtype=np.uint64)
+    for i, blocks in enumerate(pending):
+        lo = i * (f - 1) * b
+        flat[:, :, lo : lo + blocks.shape[2] * b] = blocks.reshape(batch, k, -1)
+    flat[:, :, -1] = n_bytes & MASK64
+    per = layout.finalize_words_per_tree
+    fin_seed = seed_region(layout.finalize_start, k * per)
+    fin_seed = fin_seed.reshape(fin_seed.shape[:-1] + (k, per))[..., :fin_in_words]
+    out = _nh_words_np(flat, fin_seed)
 
     n_tail = n_words - n_inst * m
     if n_tail:
@@ -519,11 +513,11 @@ def _last_word_np(data: memoryview) -> np.ndarray:
     return np.array([word], dtype=np.uint64)
 
 
-def _hash_lanes(data: memoryview, seed: SeedBuffer, params: HashParams) -> Digest:
-    layout = seed_layout(params, len(data))
-    _check_capacity(seed, layout)
+def _hash_lanes(
+    data: memoryview, seed: SeedBuffer, params: HashParams, layout: SeedLayout
+) -> Digest:
     words = _words_np_from_bytes(data)[None, :]
-    out = _hash_words_np(words, len(data), seed.words_np, params, _last_word_np(data))
+    out = _hash_words_np(words, len(data), seed.words_np, params, layout, _last_word_np(data))
     return Digest(tuple(out[0].tolist()))
 
 
@@ -543,12 +537,18 @@ def hash_bytes(
     that accepts a counter.  The two produce bit-identical digests.
     """
     view = _byte_view(data)
+    layout = seed_layout(params, len(view))
+    if seed.capacity < layout.total_words:
+        raise SeedSizeError(
+            f"seed buffer holds {seed.capacity} words but this input needs "
+            f"{layout.total_words}; expand with seed_words_needed()"
+        )
     if engine == "lanes":
         if counter is not None:
             raise ValueError("multiplication counting requires engine='scalar'")
-        return _hash_lanes(view, seed, params)
+        return _hash_lanes(view, seed, params, layout)
     if engine == "scalar":
-        return _hash_scalar(view, seed, params, counter)
+        return _hash_scalar(view, seed, params, layout, counter)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -562,4 +562,5 @@ def digest(
 
     params = variant(output_bytes)
     view = _byte_view(data)
-    return hash_bytes(view, seed_for_input(master, params, len(view)), params)
+    layout = seed_layout(params, len(view))
+    return _hash_lanes(view, expand_seed(master, layout.total_words), params, layout)

@@ -73,39 +73,33 @@ class TransformMatrix:
 class ErasureCode:
     """Systematic symbol-level encoder with a declared minimum distance.
 
-    The first ``arity_in`` output symbols are the inputs verbatim; each of
-    the ``arity_out - arity_in`` parity symbols is an XOR of the inputs
-    scaled lane-wise by fixed GF(16) coefficients (``parity_rows``).  The
-    ``all coefficients == 1`` case degenerates to plain XOR parity.
+    The first ``arity_in`` output symbols are the inputs verbatim; each row
+    of ``parity_rows`` adds a parity symbol, the XOR of the inputs scaled
+    lane-wise by its GF(16) coefficients, so ``arity_out`` is ``arity_in +
+    len(parity_rows)``.  A row of all ones is plain XOR parity.
 
     ``min_distance`` is a declaration, not a proof: codes are accepted only
     after :func:`halftimehash.analysis.verify_min_distance` confirms it.
     """
 
     arity_in: int
-    arity_out: int
     min_distance: int
-    kind: str  # "xor-parity" | "repo-defined-linear"
     parity_rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.parity_rows) != self.arity_out - self.arity_in:
-            raise ValueError("parity row count must equal arity_out - arity_in")
         for row in self.parity_rows:
             if len(row) != self.arity_in:
                 raise ValueError("parity row width must equal arity_in")
             if not all(0 <= c < 16 for c in row):
                 raise ValueError("parity coefficients must be GF(16) elements")
 
+    @property
+    def arity_out(self) -> int:
+        return self.arity_in + len(self.parity_rows)
+
 
 def _xor_parity_code(arity_in: int) -> ErasureCode:
-    return ErasureCode(
-        arity_in=arity_in,
-        arity_out=arity_in + 1,
-        min_distance=2,
-        kind="xor-parity",
-        parity_rows=((1,) * arity_in,),
-    )
+    return ErasureCode(arity_in, min_distance=2, parity_rows=((1,) * arity_in,))
 
 
 def _cauchy_code(arity_in: int, parities: int) -> ErasureCode:
@@ -117,52 +111,55 @@ def _cauchy_code(arity_in: int, parities: int) -> ErasureCode:
         tuple(gf16.inv(j ^ (parities + i)) for i in range(arity_in))
         for j in range(parities)
     )
-    return ErasureCode(
-        arity_in=arity_in,
-        arity_out=arity_in + parities,
-        min_distance=parities + 1,
-        kind="repo-defined-linear",
-        parity_rows=rows,
-    )
+    return ErasureCode(arity_in, min_distance=parities + 1, parity_rows=rows)
 
 
 @dataclass(frozen=True)
 class HashParams:
-    """One output-width variant, fully populated and validated.
+    """One output-width variant, validated.
 
-    Counts: ``item_blocks`` blocks per erasure-code symbol,
-    ``instance_items`` symbols consumed per leaf compression,
-    ``encoded_items`` symbols after encoding, ``output_words`` combined
-    output blocks (also the code's minimum distance and the digest length
-    in 64-bit words), ``block_words`` 64-bit lanes per block, ``fanout``
-    blocks consumed per tree node, and ``max_det_valuation`` the largest
-    power of two dividing any ``output_words``-column determinant of the
-    combine matrix (stored as the exponent).
+    The combine matrix fixes ``output_words`` (its k rows, the digest length
+    in 64-bit words) and ``encoded_items`` (its e columns); a leaf
+    compression consumes ``instance_items = e + 1 - k`` symbols, the code's
+    ``arity_in``.  The other inputs are ``item_blocks`` blocks per symbol,
+    ``block_words`` 64-bit lanes per block, ``fanout`` blocks per tree node,
+    and ``max_det_valuation`` the exponent of the largest power of two
+    dividing any k-column determinant of the combine matrix.
     """
 
-    output_bytes: int
-    output_words: int
-    encoded_items: int
-    instance_items: int
+    matrix: TransformMatrix
+    code: ErasureCode
     item_blocks: int
     block_words: int
     fanout: int
     max_det_valuation: int
-    matrix: TransformMatrix
-    code: ErasureCode
 
     def __post_init__(self):
-        k, e, d = self.output_words, self.encoded_items, self.instance_items
-        if self.output_bytes != 8 * k:
-            raise ValueError("output_bytes must be 8 * output_words")
-        if d != e + 1 - k:
-            raise ValueError("instance_items must equal encoded_items + 1 - output_words")
-        if (self.matrix.rows, self.matrix.cols) != (k, e):
-            raise ValueError("combine matrix shape mismatch")
-        if (self.code.arity_in, self.code.arity_out) != (d, e):
+        if self.item_blocks < 1 or self.block_words < 1:
+            raise ValueError("item_blocks and block_words must be at least 1")
+        if self.fanout < 2:
+            raise ValueError("fanout must be at least 2")
+        k, e = self.output_words, self.encoded_items
+        if (self.code.arity_in, self.code.arity_out) != (e + 1 - k, e):
             raise ValueError("erasure code arity mismatch")
         if self.code.min_distance < k:
             raise ValueError("erasure code distance below output_words")
+
+    @property
+    def output_words(self) -> int:
+        return self.matrix.rows
+
+    @property
+    def output_bytes(self) -> int:
+        return 8 * self.output_words
+
+    @property
+    def encoded_items(self) -> int:
+        return self.matrix.cols
+
+    @property
+    def instance_items(self) -> int:
+        return self.code.arity_in
 
     @property
     def instance_blocks(self) -> int:
@@ -216,10 +213,10 @@ _MATRIX_40 = TransformMatrix((
 #   32     4  10  7  3  8  8  3
 #   40     5  9   5  3  8  8  3
 VARIANTS: dict[int, HashParams] = {
-    16: HashParams(16, 2, 7, 6, 2, 8, 8, 2, _MATRIX_16, _xor_parity_code(6)),
-    24: HashParams(24, 3, 9, 7, 3, 8, 8, 2, _MATRIX_24, _cauchy_code(7, 2)),
-    32: HashParams(32, 4, 10, 7, 3, 8, 8, 3, _MATRIX_32, _cauchy_code(7, 3)),
-    40: HashParams(40, 5, 9, 5, 3, 8, 8, 3, _MATRIX_40, _cauchy_code(5, 4)),
+    16: HashParams(_MATRIX_16, _xor_parity_code(6), 2, 8, 8, 2),
+    24: HashParams(_MATRIX_24, _cauchy_code(7, 2), 3, 8, 8, 2),
+    32: HashParams(_MATRIX_32, _cauchy_code(7, 3), 3, 8, 8, 3),
+    40: HashParams(_MATRIX_40, _cauchy_code(5, 4), 3, 8, 8, 3),
 }
 
 

@@ -174,7 +174,8 @@ def test_criterion_7_collision_smoke():
         words = rng.integers(0, 1 << 64, size=(n_inputs, n_bytes // 8), dtype=np.uint64)
         master = rng.integers(0, 1 << 64, size=4, dtype=np.uint64).astype("<u8").tobytes()
         seed = hh.seed_for_input(master, p, n_bytes)
-        out = hasher._hash_words_np(words, n_bytes, seed.words_np, p)
+        layout = hasher.seed_layout(p, n_bytes)
+        out = hasher._hash_words_np(words, n_bytes, seed.words_np, p, layout)
         collisions[width] = n_inputs - len(np.unique(out, axis=0))
     ok = all(c == 0 for c in collisions.values())
     _verdict(

@@ -115,18 +115,18 @@ def test_distance_checks_encode_through_ehc(monkeypatch):
 
 
 def test_xor_parity_distance_two():
-    code = ErasureCode(2, 3, 2, "xor-parity", ((1, 1),))
+    code = ErasureCode(2, 2, ((1, 1),))
     assert verify_min_distance(code, 4, trials=10**4) == 2
 
 
 def test_repetition_code_distance_two():
-    code = ErasureCode(1, 2, 2, "repo-defined-linear", ((1,),))
+    code = ErasureCode(1, 2, ((1,),))
     assert verify_min_distance(code, 6, trials=10**4) == 2
 
 
 def test_distance_deficient_code_rejected():
     # two equal coefficients make a weight-2 codeword invisible to one parity
-    bad = ErasureCode(2, 3, 3, "repo-defined-linear", ((1, 1),))
+    bad = ErasureCode(2, 3, ((1, 1),))
     with pytest.raises(CodeDistanceError):
         verify_min_distance(bad, 4, trials=10**4)
 
@@ -137,7 +137,7 @@ def test_verify_min_distance_preconditions():
         verify_min_distance(code, 9)
     with pytest.raises(ValueError):
         verify_min_distance(code, 5)  # GF(16) rows need a multiple of 4
-    wide = ErasureCode(8, 9, 2, "xor-parity", ((1,) * 8,))
+    wide = ErasureCode(8, 2, ((1,) * 8,))
     with pytest.raises(ValueError):
         verify_min_distance(wide, 8)  # 8 * 8 bits > 28-bit enumeration cap
 
@@ -259,11 +259,7 @@ def test_ehc_bound_values():
     # degenerate single-output, p=0 case gives the plain width bound
     from halftimehash.params import HashParams
 
-    single = HashParams(
-        8, 1, 1, 1, 1, 1, 2, 0,
-        TransformMatrix(((1,),)),
-        ErasureCode(1, 1, 1, "repo-defined-linear", ()),
-    )
+    single = HashParams(TransformMatrix(((1,),)), ErasureCode(1, 1, ()), 1, 1, 2, 0)
     assert ehc_bound(single, 32) == 32
 
 

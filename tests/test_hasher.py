@@ -164,13 +164,43 @@ def test_negative_word_count_rejected(method):
 
 def test_equal_seed_buffers_compare_and_hash_equal():
     a = expand_seed(RANGE_MASTER, 64)
-    b = SeedBuffer.from_master(RANGE_MASTER, 64)
+    b = SeedBuffer(RANGE_MASTER, 64)
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
     assert a != expand_seed(RANGE_MASTER, 65)
     assert a != expand_seed(ZERO_MASTER, 64)
     assert repr(a) == f"SeedBuffer(master={RANGE_MASTER!r}, capacity=64)"
+    # the constructor takes only (master, capacity) and computes the words,
+    # so buffers that compare equal hash inputs alike
+    want = hasher._stream_words_np(hasher._master_fold(RANGE_MASTER), 0, 64)
+    assert np.array_equal(b.words_np(0, 64), want)
+    p = hh.variant(24)
+    data = fill_bytes(100)
+    n = seed_words_needed(p, len(data))
+    assert hh.hash_bytes(data, SeedBuffer(RANGE_MASTER, n), p) == hh.hash_bytes(
+        data, expand_seed(RANGE_MASTER, n), p
+    )
+
+
+def test_each_hash_call_computes_its_seed_layout_once(monkeypatch):
+    p = hh.variant(24)
+    data = fill_bytes(3 * 8 * p.instance_words + 5)
+    seed = hh.seed_for_input(RANGE_MASTER, p, len(data))
+    calls = []
+
+    def counted(params, n_bytes):
+        calls.append(n_bytes)
+        return seed_layout(params, n_bytes)
+
+    monkeypatch.setattr(hasher, "seed_layout", counted)
+    for engine in ("lanes", "scalar"):
+        calls.clear()
+        hh.hash_bytes(data, seed, p, engine=engine)
+        assert calls == [len(data)]
+    calls.clear()
+    hh.digest(data, RANGE_MASTER, 24)
+    assert calls == [len(data)]
 
 
 def test_seed_layout_matches_budget_formula():
@@ -426,14 +456,40 @@ def test_chunked_lanes_match_scalar_at_run_boundaries(run, data):
         mp.setattr(hasher, "_RUN_WORDS", run * p.instance_words)
         assert hh.hash_bytes(inputs[0], seed, p) == want[0]
         # a batch of two: the run budget counts the batch axis
-        got = hasher._hash_words_np(words, n, seed.words_np, p)
+        layout = seed_layout(p, n)
+        got = hasher._hash_words_np(words, n, seed.words_np, p, layout)
         # the same batch, each input under its own seed
         region = _batched_seed_region(
             np.stack([np.frombuffer(m, dtype="<u8") for m in masters]).astype(np.uint64)
         )
-        got_own = hasher._hash_words_np(words, n, region, p)
+        got_own = hasher._hash_words_np(words, n, region, p, layout)
     assert [tuple(int(v) for v in row) for row in got] == [d.words for d in want]
     assert [tuple(int(v) for v in row) for row in got_own] == [want[0].words, other.words]
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batch_under_own_seeds_matches_scalar_at_any_length(width, data):
+    # Up to three instances and every tail length: the finalize rows see
+    # each count of pending blocks, and each input has its own seed.
+    p = hh.variant(width)
+    n = data.draw(st.integers(0, 3 * p.instance_words * 8 + 63))
+    rnd = random.Random(data.draw(st.integers(0, 2**32)))
+    inputs = [rnd.randbytes(n), rnd.randbytes(n)]
+    masters = [rnd.randbytes(32), rnd.randbytes(32)]
+    want = [
+        hh.hash_bytes(x, hh.seed_for_input(m, p, n), p, engine="scalar").words
+        for x, m in zip(inputs, masters)
+    ]
+    words = np.stack([
+        np.frombuffer(x + bytes(-n % 8), dtype="<u8").astype(np.uint64) for x in inputs
+    ])
+    region = _batched_seed_region(
+        np.stack([np.frombuffer(m, dtype="<u8") for m in masters]).astype(np.uint64)
+    )
+    got = hasher._hash_words_np(words, n, region, p, seed_layout(p, n))
+    assert [tuple(int(v) for v in row) for row in got] == want
 
 
 def _traced_peak(data, seed, p) -> int:
@@ -575,11 +631,12 @@ def test_equal_length_one_byte_apart_no_collisions_many_seeds():
     n_seeds = 10**5
     masters = rng.integers(0, 1 << 64, size=(n_seeds, 4), dtype=np.uint64)
     region = _batched_seed_region(masters)
+    layout = seed_layout(p, n_bytes)
     out_a = hasher._hash_words_np(
-        np.broadcast_to(data_a, (n_seeds, len(data_a))), n_bytes, region, p
+        np.broadcast_to(data_a, (n_seeds, len(data_a))), n_bytes, region, p, layout
     )
     out_b = hasher._hash_words_np(
-        np.broadcast_to(data_b, (n_seeds, len(data_b))), n_bytes, region, p
+        np.broadcast_to(data_b, (n_seeds, len(data_b))), n_bytes, region, p, layout
     )
     collisions = int(np.all(out_a == out_b, axis=1).sum())
     assert collisions == 0
@@ -605,10 +662,10 @@ def test_prefix_inputs_different_lengths_distinct():
     wa = np.frombuffer(short_bytes + b"\x00" * 4, dtype="<u8").astype(np.uint64)
     wb = np.frombuffer(long_bytes + b"\x00" * 3, dtype="<u8").astype(np.uint64)
     out_a = hasher._hash_words_np(
-        np.broadcast_to(wa, (n_seeds, len(wa))), 1500, region, p
+        np.broadcast_to(wa, (n_seeds, len(wa))), 1500, region, p, seed_layout(p, 1500)
     )
     out_b = hasher._hash_words_np(
-        np.broadcast_to(wb, (n_seeds, len(wb))), 1501, region, p
+        np.broadcast_to(wb, (n_seeds, len(wb))), 1501, region, p, seed_layout(p, 1501)
     )
     matches = int(np.all(out_a == out_b, axis=1).sum())
     assert matches / n_seeds <= 2**-20

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -51,6 +52,15 @@ def test_variant_16_and_40_shapes():
 def test_input_group_lengths():
     # d across the four variants, in output-width order
     assert [variant(w).instance_items for w in (16, 24, 32, 40)] == [6, 7, 7, 5]
+
+
+@pytest.mark.parametrize(
+    "change", [{"fanout": 1}, {"fanout": 0}, {"item_blocks": 0}, {"block_words": 0}]
+)
+def test_degenerate_geometry_rejected(change):
+    # fanout 1 never shrinks a tree level, and zero sizes divide by zero
+    with pytest.raises(ValueError):
+        dataclasses.replace(variant(24), **change)
 
 
 def test_unsupported_width():
@@ -122,7 +132,6 @@ def test_matrix_validation_rejects_ragged_and_unknown():
 
 def test_xor_parity_code_shape():
     code = variant(16).code
-    assert code.kind == "xor-parity"
     assert code.parity_rows == ((1,) * 6,)
     assert code.min_distance == 2
 
@@ -130,6 +139,5 @@ def test_xor_parity_code_shape():
 def test_cauchy_codes_declare_k():
     for width in (24, 32, 40):
         p = variant(width)
-        assert p.code.kind == "repo-defined-linear"
         assert p.code.min_distance == p.output_words
         assert len(p.code.parity_rows) == p.output_words - 1
