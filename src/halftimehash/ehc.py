@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import gf16
 from .nh import MultCounter, nh_full, words_to_halves
-from .params import ErasureCode, HashParams, TransformMatrix, coefficient_multiply
+from .params import ErasureCode, HashParams, TransformMatrix, horner_schedule
 
 Item = Sequence[Sequence[int]]
 
@@ -79,23 +79,21 @@ def combine(
 ) -> list[tuple[int, ...]]:
     """Apply the combine matrix lane-wise: k output blocks from e inputs.
 
-    Coefficient multiplications use the shift/add forms only; they are not
-    counted as multiplications anywhere.
+    Each row runs its ``horner_schedule``: per coefficient bit, double the
+    lanes, then add the picked blocks.  The matrix multiplies by shifts and
+    adds only, so no multiplication is counted.
     """
     if len(hashed) != matrix.cols:
         raise ValueError(f"expected {matrix.cols} hashed blocks, got {len(hashed)}")
-    width = 2 * half_bits
-    full_mask = (1 << width) - 1
-    lanes = len(hashed[0])
+    mask = (1 << 2 * half_bits) - 1
     out = []
     for row in matrix.entries:
-        acc = [0] * lanes
-        for coeff, block in zip(row, hashed):
-            if coeff == 0:
-                continue
-            for j in range(lanes):
-                acc[j] = (acc[j] + coefficient_multiply(coeff, block[j], width)) & full_mask
-        out.append(tuple(acc))
+        acc = [0] * len(hashed[0])
+        for picked in horner_schedule(tuple(row)):
+            acc = [a << 1 for a in acc]
+            for i in picked:
+                acc = [a + x for a, x in zip(acc, hashed[i])]
+        out.append(tuple([a & mask for a in acc]))
     return out
 
 

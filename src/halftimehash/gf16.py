@@ -45,20 +45,8 @@ def scale(coeff: int, value, width: int, mask: int):
     return acc
 
 
-def _build_tables() -> tuple[list[list[int]], list[int]]:
-    mul = [[scale(a, b, 4, 0xF) for b in range(16)] for a in range(16)]
-    inv = [0] * 16
-    for a in range(1, 16):
-        inv[a] = next(b for b in range(1, 16) if mul[a][b] == 1)
-    return mul, inv
-
-
-#: 16x16 multiplication table and multiplicative inverses for 4-bit symbols.
-MUL, INV = _build_tables()
-
-
-def mul(a: int, b: int) -> int:
-    return MUL[a][b]
+#: Multiplicative inverses of the 4-bit symbols; 0 has none.
+INV = [0] + [next(b for b in range(1, 16) if scale(a, b, 4, 0xF) == 1) for a in range(1, 16)]
 
 
 def inv(a: int) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 from . import ehc as ehc_mod
 from . import tree as tree_mod
 from .nh import MultCounter, nh_full, words_to_halves
-from .params import MASK64, HashParams
+from .params import MASK64, HashParams, horner_schedule
 from . import gf16
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -198,7 +198,8 @@ def _byte_view(data) -> memoryview:
         ) from None
     if not view.c_contiguous:
         raise TypeError("hash input buffer must be C-contiguous")
-    return view.cast("B")
+    # cast() refuses a shape with a zero in it; any empty buffer hashes as b"".
+    return view.cast("B") if view.nbytes else memoryview(b"")
 
 
 def words_from_bytes(data) -> list[int]:
@@ -344,25 +345,25 @@ def _nh_node_np(blocks: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def _horner(acc: np.ndarray, terms: list, coeffs: Sequence[int], times_x, add) -> None:
     """Write ``sum(c * t)`` over ``coeffs`` and ``terms`` into ``acc``.
 
-    Horner form: from the top coefficient bit down, multiply the
-    accumulator by x, then add the terms whose coefficient has that bit.
-    That is one ``times_x`` per bit, however many terms there are.
+    Horner form, on ``horner_schedule(coeffs)``: per coefficient bit, from
+    the top down, multiply the accumulator by x, then add that bit's
+    terms.  That is one ``times_x`` per bit, however many terms there are.
     """
-    top = max(coeffs).bit_length()
-    if not top:
+    schedule = horner_schedule(tuple(coeffs))
+    if not schedule:
         acc.fill(0)
-    for bit in reversed(range(top)):
-        picked = [t for t, c in zip(terms, coeffs) if c >> bit & 1]
-        if bit == top - 1:
-            first = picked.pop(0)
-            if picked:
-                add(first, picked.pop(0), out=acc)
-            else:
-                np.copyto(acc, first)
-        else:
-            times_x(acc)
-        for t in picked:
-            add(acc, t, out=acc)
+        return
+    top = schedule[0]
+    if len(top) > 1:
+        add(terms[top[0]], terms[top[1]], out=acc)
+    else:
+        np.copyto(acc, terms[top[0]])
+    for i in top[2:]:
+        add(acc, terms[i], out=acc)
+    for picked in schedule[1:]:
+        times_x(acc)
+        for i in picked:
+            add(acc, terms[i], out=acc)
 
 
 def _double(acc: np.ndarray) -> None:
@@ -390,8 +391,9 @@ def _encode_np(inst: np.ndarray, params: HashParams) -> np.ndarray:
 def _combine_np(hashed: np.ndarray, params: HashParams) -> np.ndarray:
     """hashed: (..., e, n, b) -> (..., k, n, b) via the combine matrix.
 
-    Each row is a Horner sum mod 2^64: one shift per coefficient bit,
-    plus adds.  Equal to summing ``coefficient_multiply`` over each row.
+    Each row is a Horner sum mod 2^64 on the row's ``horner_schedule``:
+    one shift per coefficient bit, plus adds, and no multiplier.  Equal to
+    ``sum(c * hashed[c])`` over each row, and to ``ehc.combine``.
     """
     shape = hashed.shape[:-3] + (params.output_words,) + hashed.shape[-2:]
     out = np.empty(shape, dtype=np.uint64)

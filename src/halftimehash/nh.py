@@ -74,23 +74,13 @@ def nh_tree_node(
     counter: MultCounter | None = None,
     stage: str = "nh",
 ) -> int:
-    """NH variant for tree nodes: the final input pair is added, not hashed."""
-    if len(data) % 2:
-        raise ValueError("nh_tree_node input must have an even number of half-words")
-    if len(data) < 4:
-        raise ValueError("nh_tree_node needs at least two input pairs")
-    half_mask = (1 << half_bits) - 1
-    full_mask = (1 << (2 * half_bits)) - 1
+    """NH variant for tree nodes: ``nh_full`` over all but the final input
+    pair, which is added, not hashed."""
+    if len(data) % 2 or len(data) < 4:
+        raise ValueError("nh_tree_node needs an even number of half-words, at least four")
     last = len(data) - 2
-    if len(seed) < last:
-        raise ValueError("seed shorter than the hashed input prefix")
-    acc = 0
-    for i in range(0, last, 2):
-        acc += ((data[i] + seed[i]) & half_mask) * ((data[i + 1] + seed[i + 1]) & half_mask)
-    acc += data[last] + (data[last + 1] << half_bits)
-    if counter is not None:
-        counter.add(stage, last // 2)
-    return acc & full_mask
+    acc = nh_full(data[:last], seed[:last], half_bits, counter, stage)
+    return (acc + data[last] + (data[last + 1] << half_bits)) & ((1 << 2 * half_bits) - 1)
 
 
 def nh_blockwise(

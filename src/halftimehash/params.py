@@ -1,5 +1,6 @@
 """Published variant parameterizations: combine matrices, erasure codes,
-and the block/lane geometry shared by all four output widths.
+the block/lane geometry shared by all four output widths, and
+``horner_schedule``, which every combine and the lanes encoder run on.
 
 Everything here is immutable after import and safe to share across threads.
 """
@@ -7,40 +8,23 @@ Everything here is immutable after import and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import gf16
 
 MASK64 = (1 << 64) - 1
 
-#: Coefficient -> shift/add recipe.  Every combine-matrix entry is
-#: multipliable with at most two shifts and one addition or subtraction.
-_SHIFT_ADD = {
-    0: lambda x, m: x & 0,
-    1: lambda x, m: x,
-    2: lambda x, m: (x << 1) & m,
-    3: lambda x, m: ((x << 1) + x) & m,
-    4: lambda x, m: (x << 2) & m,
-    5: lambda x, m: ((x << 2) + x) & m,
-    7: lambda x, m: ((x << 3) - x) & m,
-    8: lambda x, m: (x << 3) & m,
-    9: lambda x, m: ((x << 3) + x) & m,
-}
 
-SUPPORTED_COEFFICIENTS = frozenset(_SHIFT_ADD)
-
-
-def coefficient_multiply(coeff: int, x, width: int = 64):
-    """Multiply ``x`` by a small matrix coefficient, mod ``2**width``.
-
-    Uses the shift/add decomposition; bit-identical to generic modular
-    multiplication for every supported coefficient.  Works on plain ints
-    and numpy uint64 arrays alike.
-    """
-    try:
-        op = _SHIFT_ADD[coeff]
-    except KeyError:
-        raise ValueError(f"coefficient {coeff} has no shift/add form") from None
-    return op(x, (1 << width) - 1 if width < 64 else MASK64)
+@cache
+def horner_schedule(row: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Horner form of ``sum(c * t)`` over ``row``: one entry per coefficient
+    bit, from the top bit down, holding the indices of the terms whose
+    coefficient has that bit.  From zero, each entry multiplies the sum by
+    x (a doubling, or a GF(16) x-step) and then adds its terms."""
+    top = max(row, default=0).bit_length()
+    return tuple(
+        tuple(i for i, c in enumerate(row) if c >> bit & 1) for bit in reversed(range(top))
+    )
 
 
 @dataclass(frozen=True)
@@ -53,9 +37,9 @@ class TransformMatrix:
         widths = {len(row) for row in self.entries}
         if len(widths) != 1:
             raise ValueError("ragged matrix")
-        bad = {v for row in self.entries for v in row} - SUPPORTED_COEFFICIENTS
-        if bad:
-            raise ValueError(f"entries without a shift/add form: {sorted(bad)}")
+        # horner_schedule would read a negative entry's bits as all ones
+        if not all(isinstance(v, int) and 0 <= v < 16 for row in self.entries for v in row):
+            raise ValueError("matrix entries must be ints in 0..15")
 
     @property
     def rows(self) -> int:
@@ -90,7 +74,7 @@ class ErasureCode:
         for row in self.parity_rows:
             if len(row) != self.arity_in:
                 raise ValueError("parity row width must equal arity_in")
-            if not all(0 <= c < 16 for c in row):
+            if not all(isinstance(c, int) and 0 <= c < 16 for c in row):
                 raise ValueError("parity coefficients must be GF(16) elements")
 
     @property

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import halftimehash as hh
-from halftimehash import gf16, hasher
+from halftimehash import ehc, gf16, hasher
 from halftimehash.cli import fill_bytes
 from halftimehash.hasher import (
     SeedBuffer,
@@ -21,7 +21,7 @@ from halftimehash.hasher import (
     words_from_bytes,
 )
 from halftimehash.nh import MultCounter, nh_blockwise, nh_full, words_to_halves
-from halftimehash.params import MASK64, VARIANTS, TransformMatrix, coefficient_multiply
+from halftimehash.params import MASK64, VARIANTS, TransformMatrix
 
 import reference
 
@@ -284,6 +284,19 @@ def test_bytes_like_inputs_hash_like_bytes(kind):
             buf.close()  # raises BufferError if a view of it were still held
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
+def test_empty_multidimensional_buffers_hash_like_empty_bytes(shape):
+    # memoryview.cast refuses a shape with a zero in it, yet the buffer
+    # is a valid, empty, C-contiguous input.
+    p = hh.variant(24)
+    buf = np.zeros(shape, dtype=np.uint8)
+    seed = hh.seed_for_input(RANGE_MASTER, p, 0)
+    want = hh.hash_bytes(b"", seed, p)
+    assert hh.hash_bytes(buf, seed, p) == want
+    assert hh.hash_bytes(buf, seed, p, engine="scalar") == want
+    assert hh.digest(buf) == hh.digest(b"")
+
+
 @pytest.mark.parametrize(
     "bad",
     ["text", 12345, [1, 2, 3], None, memoryview(b"abcdefgh")[::2]],
@@ -363,8 +376,61 @@ def test_combine_np_matches_coefficient_sum(width, data):
     for r, row in enumerate(p.matrix.entries):
         want = np.zeros_like(hashed[:, 0])
         for c, coeff in enumerate(row):
-            want += coefficient_multiply(coeff, hashed[:, c])
+            want += hashed[:, c] * np.uint64(coeff)
         assert np.array_equal(out[:, r], want)
+
+
+def _coefficient_rows(n_rows, n_cols):
+    """Rows of coefficients 0..15 that often hold zero rows and
+    single-bit coefficients, the edge cases of a Horner bit schedule."""
+    coeff = st.one_of(st.integers(0, 15), st.sampled_from([0, 1, 2, 4, 8]))
+    row = st.one_of(st.tuples(*[coeff] * n_cols), st.just((0,) * n_cols))
+    return st.tuples(*[row] * n_rows)
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_random_combine_matrices_match_direct_sum(width, data):
+    p = hh.variant(width)
+    rows = data.draw(_coefficient_rows(p.output_words, p.encoded_items))
+    q = dataclasses.replace(p, matrix=TransformMatrix(rows))
+    hashed = _draw_words(data, (1, p.encoded_items, 1, 4))
+    blocks = hashed[0, :, 0].tolist()
+    want = reference.combine_direct(blocks, rows, 64)
+    assert ehc.combine(blocks, q.matrix) == want
+    got = hasher._combine_np(hashed, q)[0, :, 0]
+    assert [tuple(lane) for lane in got.tolist()] == want
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_random_parity_rows_encode_like_scalar_reference(width, data):
+    p = hh.variant(width)
+    d = p.instance_items
+    rows = data.draw(_coefficient_rows(p.encoded_items - d, d))
+    q = dataclasses.replace(p, code=dataclasses.replace(p.code, parity_rows=rows))
+    inst = _draw_words(data, (1, 2, d, p.item_blocks, 3))
+    enc = hasher._encode_np(inst, q)
+    for t in range(inst.shape[1]):
+        want = ehc.encode(inst[0, t].tolist(), q.code)
+        assert [tuple(map(tuple, item)) for item in enc[0, :, t].tolist()] == want
+
+
+def test_list_rows_hash_like_tuple_rows():
+    # The schedule cache is keyed by tuples; rows given as lists still hash.
+    p = hh.variant(24)
+    listed = dataclasses.replace(
+        p,
+        matrix=TransformMatrix([list(row) for row in p.matrix.entries]),
+        code=dataclasses.replace(p.code, parity_rows=[list(row) for row in p.code.parity_rows]),
+    )
+    data = fill_bytes(2 * p.instance_words * 8 + 5)
+    seed = hh.seed_for_input(RANGE_MASTER, p, len(data))
+    want = hh.hash_bytes(data, seed, p)
+    assert hh.hash_bytes(data, seed, listed) == want
+    assert hh.hash_bytes(data, seed, listed, engine="scalar") == want
 
 
 def test_lanes_match_scalar_with_zero_coefficient_rows():

@@ -1,0 +1,69 @@
+import ast
+import inspect
+import textwrap
+
+import pytest
+
+from halftimehash import ehc, hasher, params
+
+# The paper's combine multiplies by matrix constants with shifts and adds
+# only; these functions run it.
+COMBINE_FUNCTIONS = [
+    ehc.combine,
+    hasher._combine_np,
+    hasher._horner,
+    hasher._double,
+    params.horner_schedule,
+]
+
+MULTIPLYING_CALLS = {"multiply", "einsum", "dot", "matmul", "prod"}
+
+
+def _is_literal(node: ast.AST) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def _multiplications(source: str) -> list[str]:
+    """Every ``*`` or ``*=`` between two non-literal operands, and every
+    call of a numpy multiplying routine, in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+            operands = (node.target, node.value)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in MULTIPLYING_CALLS:
+                found.append(ast.unparse(node))
+            continue
+        else:
+            continue
+        if not any(map(_is_literal, operands)):
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("fn", COMBINE_FUNCTIONS, ids=lambda fn: fn.__qualname__)
+def test_combine_has_no_multiplier(fn):
+    assert _multiplications(inspect.getsource(fn)) == []
+
+
+def test_guard_flags_a_plain_coefficient_multiply():
+    # The guard has to catch the combine written as a multiply: each of
+    # these lines alone would make test_combine_has_no_multiplier fail.
+    for line in [
+        "out[..., r, :, :] += hashed[..., c, :, :] * np.uint64(coeff)",
+        "acc *= coeff",
+        "np.multiply(acc, coeff, out=acc)",
+        "out = np.einsum('ij,j...->i...', matrix, hashed)",
+        "acc = hashed.dot(row)",
+    ]:
+        assert _multiplications(line), line
+    assert _multiplications("mask = (1 << 2 * half_bits) - 1") == []
+    assert _multiplications("acc = [0] * lanes") == []

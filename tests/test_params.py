@@ -1,17 +1,9 @@
 import dataclasses
-import random
 
-import numpy as np
 import pytest
 
 from halftimehash import analysis, variant
-from halftimehash.params import (
-    MASK64,
-    SUPPORTED_COEFFICIENTS,
-    VARIANTS,
-    TransformMatrix,
-    coefficient_multiply,
-)
+from halftimehash.params import VARIANTS, ErasureCode, TransformMatrix, horner_schedule
 
 EXPECTED_SHAPES = {16: (2, 7), 24: (3, 9), 32: (4, 10), 40: (5, 9)}
 EXPECTED_VALUATION = {16: 2, 24: 2, 32: 3, 40: 3}
@@ -77,57 +69,38 @@ def test_stored_valuation_matches_analysis(width):
     assert measured == p.max_det_valuation == EXPECTED_VALUATION[width]
 
 
-def test_matrix_entries_have_shift_add_forms():
-    for p in VARIANTS.values():
-        for row in p.matrix.entries:
-            assert set(row) <= SUPPORTED_COEFFICIENTS
-
-
-def test_coefficient_multiply_examples():
-    assert coefficient_multiply(0, 12345) == 0
-    assert coefficient_multiply(1, 12345) == 12345
-    assert coefficient_multiply(9, 7) == 63  # (7 << 3) + 7
-
-
-def test_coefficient_multiply_matches_generic_scalar():
-    rnd = random.Random(1)
-    for coeff in sorted(SUPPORTED_COEFFICIENTS):
-        for _ in range(500):
-            x = rnd.getrandbits(64)
-            assert coefficient_multiply(coeff, x) == (coeff * x) & MASK64
-
-
-def test_coefficient_multiply_matches_generic_bulk():
-    # 10^6 random words across all supported coefficients
-    rng = np.random.default_rng(2)
-    per = 10**6 // len(SUPPORTED_COEFFICIENTS) + 1
-    for coeff in sorted(SUPPORTED_COEFFICIENTS):
-        xs = rng.integers(0, 1 << 64, size=per, dtype=np.uint64)
-        fast = coefficient_multiply(coeff, xs)
-        generic = xs * np.uint64(coeff)
-        assert np.array_equal(fast, generic)
-
-
-def test_coefficient_multiply_reduced_width():
-    rnd = random.Random(3)
-    for coeff in sorted(SUPPORTED_COEFFICIENTS):
-        for width in (8, 16):
-            for _ in range(200):
-                x = rnd.getrandbits(width)
-                expect = (coeff * x) % (1 << width)
-                assert coefficient_multiply(coeff, x, width) == expect
-
-
-def test_coefficient_without_form_rejected():
-    with pytest.raises(ValueError):
-        coefficient_multiply(6, 1)
-
-
 def test_matrix_validation_rejects_ragged_and_unknown():
     with pytest.raises(ValueError):
         TransformMatrix(((1, 2), (1,)))
     with pytest.raises(ValueError):
-        TransformMatrix(((1, 6),))
+        TransformMatrix(((1, 16),))
+
+
+@pytest.mark.parametrize("entry", [2.0, 0.5, -1, "2", None])
+def test_matrix_rejects_non_int_and_negative_entries(entry):
+    # A float entry used to construct and then fail inside the combine;
+    # a negative one would read as all ones under the Horner bit schedule.
+    with pytest.raises(ValueError):
+        TransformMatrix(((1, entry),))
+
+
+@pytest.mark.parametrize("entry", [2.0, 1.0, -1, 16])
+def test_code_rejects_non_int_and_out_of_range_coefficients(entry):
+    with pytest.raises(ValueError):
+        ErasureCode(2, 2, ((1, entry),))
+
+
+def test_matrix_accepts_every_coefficient_below_16():
+    assert TransformMatrix((tuple(range(16)),)).cols == 16
+
+
+def test_horner_schedule_picks_terms_per_bit_from_the_top():
+    # 9 = 0b1001, 7 = 0b0111: bit 3 picks term 0, bits 2 and 1 term 1,
+    # bit 0 both; an all-zero row has no steps.
+    assert horner_schedule((9, 7)) == ((0,), (1,), (1,), (0, 1))
+    assert horner_schedule((0, 1, 1)) == ((1, 2),)
+    assert horner_schedule((0, 0)) == ()
+    assert horner_schedule((0, 0)) is horner_schedule((0, 0))  # cached
 
 
 def test_xor_parity_code_shape():
