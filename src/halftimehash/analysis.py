@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import ehc, tree
-from .hasher import seed_layout, seed_layout_for_levels
+from .hasher import seed_layout, seed_words_for_levels
 from .params import ErasureCode, HashParams, TransformMatrix
 
 
@@ -207,24 +207,19 @@ def entropy_report(params: HashParams, n_bytes: int) -> EntropyReport:
         raise ValueError("n_bytes must be positive")
     k, b, f = params.output_words, params.block_words, params.fanout
     p = params.max_det_valuation
-    n_words = (n_bytes + 7) // 8
-    n_inst = n_words // params.instance_words
-    h = tree.tree_height(n_inst, f) if n_inst else 0
-    levels = tree.level_count(n_inst, f) if n_inst else 0
-    h_floor = max(levels - 1, 0)
+    layout = seed_layout(params, n_bytes)
+    n_inst = layout.instances
+    # One instance and none both leave a tree of height 0.
+    h = tree.tree_height(max(n_inst, 1), f)
+    h_floor = max(layout.levels - 1, 0)
 
     epsilon_scale = (1 << (k * p)) + h**k + 1
     epsilon_log2 = 32.0 * k - math.log2(epsilon_scale)
 
-    seed_words = seed_layout(params, n_bytes).total_words
-
     leading = (params.entropy_words + k) * b * n_inst
     ehc_mults = params.entropy_words * b * n_inst
-    tree_mults = k * (f - 1) * b * tree.node_executions(n_inst, f) if n_inst else 0
-    finalize_mults = k * ((f - 1) * b * levels + 1)
-    tail_words = n_words - n_inst * params.instance_words
-    remainder_mults = k * tail_words
-    exact = ehc_mults + tree_mults + finalize_mults + remainder_mults
+    tree_mults = k * (f - 1) * b * tree.node_executions(n_inst, f)
+    exact = ehc_mults + tree_mults + k * layout.finalize_words + k * layout.tail_words
 
     return EntropyReport(
         output_bytes=params.output_bytes,
@@ -232,10 +227,10 @@ def entropy_report(params: HashParams, n_bytes: int) -> EntropyReport:
         tree_height=h,
         tree_height_floor=h_floor,
         epsilon_log2=epsilon_log2,
-        seed_words=seed_words,
-        seed_bytes=8 * seed_words,
-        seed_words_paper=seed_layout_for_levels(params, max(h, 1)).total_words,
-        seed_words_floor=seed_layout_for_levels(params, max(h_floor, 1)).total_words,
+        seed_words=layout.total_words,
+        seed_bytes=8 * layout.total_words,
+        seed_words_paper=seed_words_for_levels(params, max(h, 1)),
+        seed_words_floor=seed_words_for_levels(params, max(h_floor, 1)),
         multiplications=leading,
         multiplications_exact=exact,
         multiplications_log_term=exact - leading,

@@ -29,7 +29,6 @@ def encode(items: Sequence[Item], code: ErasureCode, width: int = 64) -> list[It
     """
     if len(items) != code.arity_in:
         raise ValueError(f"expected {code.arity_in} items, got {len(items)}")
-    mask = (1 << width) - 1
     out: list[Item] = [tuple(tuple(block) for block in item) for item in items]
     for row in code.parity_rows:
         parity = [
@@ -41,7 +40,7 @@ def encode(items: Sequence[Item], code: ErasureCode, width: int = 64) -> list[It
             for t, block in enumerate(item):
                 dst = parity[t]
                 for u, word in enumerate(block):
-                    dst[u] ^= gf16.scale(coeff, word, width, mask)
+                    dst[u] ^= gf16.scale(coeff, word, width)
         out.append(tuple(tuple(block) for block in parity))
     return out
 

@@ -7,18 +7,18 @@ fixed sequence of shifts and XORs, so the identical code path serves 4-bit
 verification symbols and full 64-bit words (where one word behaves as 16
 parallel GF(16) elements).
 
-Functions accept plain integers or numpy uint64 arrays; callers supply the
-width mask.
+Functions accept plain integers or numpy uint64 arrays; the width mask
+follows from ``width``.
 """
 
 from __future__ import annotations
 
 
-def xtime(value, width: int, mask: int):
+def xtime(value, width: int):
     """Multiply every lane by x, reducing by x^4 + x + 1."""
     stride = width >> 2
     top = value >> (3 * stride)
-    return ((value << stride) & mask) ^ top ^ (top << stride)
+    return ((value << stride) & ((1 << width) - 1)) ^ top ^ (top << stride)
 
 
 def xtime_inplace(value):
@@ -34,19 +34,19 @@ def xtime_inplace(value):
     return value
 
 
-def scale(coeff: int, value, width: int, mask: int):
+def scale(coeff: int, value, width: int):
     """Multiply every lane by the constant field element ``coeff`` (0..15)."""
     acc = value & 0  # zero of the same type (int or ndarray)
     term = value
     for bit in range(4):
         if coeff >> bit & 1:
             acc = acc ^ term
-        term = xtime(term, width, mask)
+        term = xtime(term, width)
     return acc
 
 
 #: Multiplicative inverses of the 4-bit symbols; 0 has none.
-INV = [0] + [next(b for b in range(1, 16) if scale(a, b, 4, 0xF) == 1) for a in range(1, 16)]
+INV = [0] + [next(b for b in range(1, 16) if scale(a, b, 4) == 1) for a in range(1, 16)]
 
 
 def inv(a: int) -> int:

@@ -21,6 +21,7 @@ can be shared across threads; every hash call owns its transient state.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -73,22 +74,14 @@ class SeedBuffer:
     _words: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.capacity < 0:
+        capacity = operator.index(self.capacity)
+        if capacity < 0:
             raise ValueError("capacity must be nonnegative")
-        words = _stream_words_np(_master_fold(self.master), 0, self.capacity)
+        words = _stream_words_np(_master_fold(self.master), 0, capacity)
         words.flags.writeable = False
         object.__setattr__(self, "master", bytes(self.master))
+        object.__setattr__(self, "capacity", capacity)
         object.__setattr__(self, "_words", words)
-
-    def word(self, index: int) -> int:
-        if not 0 <= index < self.capacity:
-            raise IndexError("seed word index out of range")
-        return int(self._words[index])
-
-    def words(self, start: int, count: int) -> list[int]:
-        if start < 0 or count < 0 or start + count > self.capacity:
-            raise IndexError("seed word range out of range")
-        return self._words[start : start + count].tolist()
 
     def words_np(self, start: int, count: int) -> np.ndarray:
         """A read-only view of the stored words ``[start, start + count)``."""
@@ -104,14 +97,22 @@ def expand_seed(master: bytes, needed: int) -> SeedBuffer:
 
 @dataclass(frozen=True)
 class SeedLayout:
-    """Region partition of the expanded words for one input length.
+    """How ``hash_bytes`` reads an input of one length, and the seed
+    regions that key each part.
 
-    Sizes follow the budget ``e*w + (f-1)*h*k + b*f*h*k + b*d*w + k - 1``
-    with ``h`` the leftover-level count for this input (minimum 1), so the
-    finalize NH is always fully keyed.
+    ``instances`` whole instances go through the leaf stage, and the
+    ``tail_words`` words after them through the Toeplitz NH.  The k trees
+    over the instances leave ``levels`` levels, 0 without instances; each
+    tree's finalize NH reads ``finalize_words`` words, f - 1 block slots per
+    level and the length tag.  Region sizes follow the budget
+    ``e*w + (f-1)*h*k + b*f*h*k + b*d*w + k - 1`` with ``h = max(levels,
+    1)``, so the finalize NH is always fully keyed.
     """
 
+    instances: int
+    tail_words: int
     levels: int
+    finalize_words: int
     ehc_start: int
     ehc_words: int
     tree_start: int
@@ -123,42 +124,39 @@ class SeedLayout:
     total_words: int
 
 
-def instance_count(params: HashParams, n_bytes: int) -> int:
-    return ((n_bytes + 7) // 8) // params.instance_words
-
-
 def seed_layout(params: HashParams, n_bytes: int) -> SeedLayout:
-    """The seed regions ``hash_bytes`` reads for an ``n_bytes`` input."""
+    """How ``hash_bytes`` reads an ``n_bytes`` input, and its seed regions."""
     if n_bytes < 0:
         raise ValueError(f"input length must be nonnegative, got n_bytes={n_bytes}")
-    n_inst = instance_count(params, n_bytes)
-    levels = tree_mod.level_count(n_inst, params.fanout) if n_inst else 1
-    return seed_layout_for_levels(params, levels)
-
-
-def seed_layout_for_levels(params: HashParams, levels: int) -> SeedLayout:
-    """The seed regions of an input whose trees leave ``levels`` levels."""
-    k, b, f = params.output_words, params.block_words, params.fanout
-    ehc_words = params.entropy_words
-    tree_per = (f - 1) * levels
-    fin_per = b * f * levels
-    rem = params.instance_words + k - 1
-    ehc_start = 0
-    tree_start = ehc_words
-    fin_start = tree_start + tree_per * k
-    rem_start = fin_start + fin_per * k
+    k, b, f, m = params.output_words, params.block_words, params.fanout, params.instance_words
+    n_words = (n_bytes + 7) // 8
+    instances = n_words // m
+    levels = tree_mod.level_count(instances, f) if instances else 0
+    h = max(levels, 1)
+    tree_start = params.entropy_words
+    fin_start = tree_start + (f - 1) * h * k
+    rem_start = fin_start + b * f * h * k
     return SeedLayout(
+        instances=instances,
+        tail_words=n_words - instances * m,
         levels=levels,
-        ehc_start=ehc_start,
-        ehc_words=ehc_words,
+        finalize_words=(f - 1) * b * levels + 1,
+        ehc_start=0,
+        ehc_words=params.entropy_words,
         tree_start=tree_start,
-        tree_words_per_tree=tree_per,
+        tree_words_per_tree=(f - 1) * h,
         finalize_start=fin_start,
-        finalize_words_per_tree=fin_per,
+        finalize_words_per_tree=b * f * h,
         remainder_start=rem_start,
-        remainder_words=rem,
-        total_words=rem_start + rem,
+        remainder_words=m + k - 1,
+        total_words=seed_words_for_levels(params, h),
     )
+
+
+def seed_words_for_levels(params: HashParams, levels: int) -> int:
+    """The seed budget of ``SeedLayout`` with ``h = levels``."""
+    k, b, f = params.output_words, params.block_words, params.fanout
+    return params.entropy_words + (f - 1 + b * f) * levels * k + params.instance_words + k - 1
 
 
 def seed_words_needed(params: HashParams, n_bytes: int) -> int:
@@ -239,17 +237,11 @@ def _hash_scalar(
     counter: MultCounter | None,
 ) -> Digest:
     words = words_from_bytes(data)
-    k, b, f, w, d = (
-        params.output_words,
-        params.block_words,
-        params.fanout,
-        params.item_blocks,
-        params.instance_items,
-    )
-    m = params.instance_words
-    n_inst = len(words) // m
+    k, b, f = params.output_words, params.block_words, params.fanout
+    w, d, m = params.item_blocks, params.instance_items, params.instance_words
+    n_inst = layout.instances
 
-    entropy = seed.words(layout.ehc_start, layout.ehc_words)
+    entropy = seed.words_np(layout.ehc_start, layout.ehc_words).tolist()
     tree_blocks: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
     for t in range(n_inst):
         base = t * m
@@ -267,23 +259,23 @@ def _hash_scalar(
     out_words = []
     for r in range(k):
         if n_inst:
-            level_seeds = seed.words(
+            level_seeds = seed.words_np(
                 layout.tree_start + r * layout.tree_words_per_tree,
                 layout.tree_words_per_tree,
-            )
+            ).tolist()
             levels = tree_mod.tree_reduce(tree_blocks[r], level_seeds, f, 32, counter)
         else:
             levels = []
-        fin_seed = seed.words(
+        fin_seed = seed.words_np(
             layout.finalize_start + r * layout.finalize_words_per_tree,
             layout.finalize_words_per_tree,
-        )
+        ).tolist()
         out_words.append(
             tree_mod.tree_finalize(levels, len(data), fin_seed, f, b, 32, counter)
         )
 
     tail = words[n_inst * m :]
-    rem_words = seed.words(layout.remainder_start, layout.remainder_words)
+    rem_words = seed.words_np(layout.remainder_start, layout.remainder_words).tolist()
     rem = hash_remainder(tail, rem_words, k, 32, counter)
     return Digest(tuple((out_words[r] + rem[r]) & MASK64 for r in range(k)))
 
@@ -433,21 +425,12 @@ def _hash_words_np(
     unmerged blocks, the stack of ``tree.tree_reduce``, so the memory
     beyond the input is bounded by the run size.
     """
-    k, b, f, w, d = (
-        params.output_words,
-        params.block_words,
-        params.fanout,
-        params.item_blocks,
-        params.instance_items,
-    )
-    m = params.instance_words
+    k, b, f = params.output_words, params.block_words, params.fanout
+    w, d, m = params.item_blocks, params.instance_items, params.instance_words
     batch = words.shape[0]
     if last is None:
         last = np.empty((batch, 0), dtype=np.uint64)
-    n_words = words.shape[1] + last.shape[1]
-    n_inst = n_words // m
-
-    levels = layout.levels if n_inst else 0
+    n_inst, levels = layout.instances, layout.levels
     # pending[i]: the (B, k, <f, b) blocks of tree level i not yet merged.
     pending = [np.empty((batch, k, 0, b), dtype=np.uint64)] * levels
     if n_inst:
@@ -482,20 +465,19 @@ def _hash_words_np(
     # One finalize row per tree: each level fills f - 1 block slots, absent
     # blocks are zero, the length tag comes last, and tree r's key starts
     # its finalize region.
-    fin_in_words = levels * (f - 1) * b + 1
-    flat = np.zeros((batch, k, fin_in_words), dtype=np.uint64)
+    flat = np.zeros((batch, k, layout.finalize_words), dtype=np.uint64)
     for i, blocks in enumerate(pending):
         lo = i * (f - 1) * b
         flat[:, :, lo : lo + blocks.shape[2] * b] = blocks.reshape(batch, k, -1)
     flat[:, :, -1] = n_bytes & MASK64
     per = layout.finalize_words_per_tree
     fin_seed = seed_region(layout.finalize_start, k * per)
-    fin_seed = fin_seed.reshape(fin_seed.shape[:-1] + (k, per))[..., :fin_in_words]
+    fin_seed = fin_seed.reshape(fin_seed.shape[:-1] + (k, per))[..., : layout.finalize_words]
     out = _nh_words_np(flat, fin_seed)
 
-    n_tail = n_words - n_inst * m
+    n_tail = layout.tail_words
     if n_tail:
-        tail = _word_range(words, last, n_inst * m, n_words)
+        tail = _word_range(words, last, n_inst * m, n_inst * m + n_tail)
         rem = seed_region(layout.remainder_start, n_tail + k - 1)
         for r in range(k):
             out[:, r] += _nh_words_np(tail, rem[..., r : r + n_tail])

@@ -3,10 +3,11 @@
 The production bounds live at 32-bit half-words where seed spaces are far
 beyond enumeration, so the verification runs the *same* pipeline functions
 at 4- or 8-bit half-words, where the relevant seed spaces are exhaustible.
-The conditioning trick from the leaf-stage proof is reused computationally:
-only the seeds at the differing encoded positions are enumerated, the rest
-are pinned to arbitrary constants, which is sound because the bound holds
-uniformly over them.
+The conditioning trick from the leaf-stage proof is reused computationally,
+by one enumerator, ``_enumerate``, that both delta probes share: only the
+seeds at the differing positions are enumerated, the rest are pinned to
+salt-derived constants, which is sound because the bound holds uniformly
+over them, and seed spaces above 2^32 are refused.
 """
 
 from __future__ import annotations
@@ -60,6 +61,24 @@ def _fixed_seeds(salt: int, count: int, half_bits: int) -> list[int]:
     return (words & np.uint64((1 << half_bits) - 1)).tolist()
 
 
+def _enumerate(seed: list[int], positions: list[int], bits: int, diff) -> tuple[Counter, int]:
+    """Distribution of ``diff(seed)`` over every value of the ``bits``-bit
+    seed entries at ``positions``; the other entries keep their pinned
+    values.  ``seed`` is updated in place.  Returns the distribution and the
+    size of the enumerated seed space, which may not exceed 2^32."""
+    space = 1 << (bits * len(positions))
+    if space > _EXHAUSTIVE_LIMIT:
+        raise ValueError("seed space too large for exhaustive enumeration")
+    mask = (1 << bits) - 1
+    dist: Counter = Counter()
+    for raw in range(space):
+        for pos in positions:
+            seed[pos] = raw & mask
+            raw >>= bits
+        dist[diff(seed)] += 1
+    return dist, space
+
+
 def _nh_delta_distribution(probe: DeltaProbe) -> tuple[Counter, int]:
     """Distribution of nh_full(x) - nh_full(y) over one enumerated seed pair.
 
@@ -77,18 +96,12 @@ def _nh_delta_distribution(probe: DeltaProbe) -> tuple[Counter, int]:
     )
     if target is None:
         raise ValueError("inputs are identical; no differing pair to enumerate")
-    space = 1 << (2 * h)
-    if space > _EXHAUSTIVE_LIMIT:
-        raise ValueError("seed space too large for exhaustive enumeration")
-    seed = _fixed_seeds(probe.salt, 2 * pairs, h)
-    dist: Counter = Counter()
-    for s0 in range(1 << h):
-        seed[2 * target] = s0
-        for s1 in range(1 << h):
-            seed[2 * target + 1] = s1
-            diff = (nh_full(x, seed, h) - nh_full(y, seed, h)) & full_mask
-            dist[diff] += 1
-    return dist, space
+    return _enumerate(
+        _fixed_seeds(probe.salt, 2 * pairs, h),
+        [2 * target, 2 * target + 1],
+        h,
+        lambda seed: (nh_full(x, seed, h) - nh_full(y, seed, h)) & full_mask,
+    )
 
 
 def _ehc_delta_distribution(probe: DeltaProbe) -> tuple[Counter, int]:
@@ -98,40 +111,25 @@ def _ehc_delta_distribution(probe: DeltaProbe) -> tuple[Counter, int]:
     params = probe.params
     if params is None:
         raise ValueError("ehc probes need params")
-    h = probe.half_bits
-    w = params.item_blocks
+    h, k = probe.half_bits, params.output_words
     full_bits = 2 * h
     full_mask = (1 << full_bits) - 1
 
     ex = ehc_mod.encode(probe.x, params.code, full_bits)
     ey = ehc_mod.encode(probe.y, params.code, full_bits)
     differing = [i for i in range(params.encoded_items) if ex[i] != ey[i]]
-    if len(differing) < params.output_words:
+    if len(differing) < k:
         raise ValueError("encodings differ in fewer than k positions")
-    enumerated = differing[: params.output_words]
-
-    lanes = len(probe.x[0][0])
-    if lanes != 1 or w != 1:
+    if len(probe.x[0][0]) != 1 or params.item_blocks != 1:
         raise ValueError("exhaustive ehc probes use single-lane single-block items")
-    space_bits = len(enumerated) * 2 * h
-    if 1 << space_bits > _EXHAUSTIVE_LIMIT:
-        raise ValueError("seed space too large for exhaustive enumeration")
 
-    entropy = _fixed_seeds(probe.salt, params.entropy_words, 2 * h)
-    dist: Counter = Counter()
-    total = 1 << space_bits
-    k = params.output_words
-    for raw in range(total):
-        ent = list(entropy)
-        v = raw
-        for pos in enumerated:
-            ent[pos] = v & full_mask
-            v >>= full_bits
-        cx = ehc_mod.compress_instance(probe.x, ent, params, h)
-        cy = ehc_mod.compress_instance(probe.y, ent, params, h)
-        delta = tuple((cx[r][0] - cy[r][0]) & full_mask for r in range(k))
-        dist[delta] += 1
-    return dist, total
+    def diff(entropy):
+        cx = ehc_mod.compress_instance(probe.x, entropy, params, h)
+        cy = ehc_mod.compress_instance(probe.y, entropy, params, h)
+        return tuple((cx[r][0] - cy[r][0]) & full_mask for r in range(k))
+
+    entropy = _fixed_seeds(probe.salt, params.entropy_words, full_bits)
+    return _enumerate(entropy, differing[:k], full_bits, diff)
 
 
 def max_delta_probability(stage: str, probe: DeltaProbe) -> ProbeResult:

@@ -119,6 +119,9 @@ class HashParams:
     max_det_valuation: int
 
     def __post_init__(self):
+        geometry = (self.item_blocks, self.block_words, self.fanout, self.max_det_valuation)
+        if not all(isinstance(v, int) for v in geometry):
+            raise ValueError("item_blocks, block_words, fanout and max_det_valuation must be ints")
         if self.item_blocks < 1 or self.block_words < 1:
             raise ValueError("item_blocks and block_words must be at least 1")
         if self.fanout < 2:

@@ -164,6 +164,90 @@ def test_verify_quick_passes(capsys):
     assert "FAIL" not in out
 
 
+# The full output of ``verify --quick``: every property line and its figures.
+VERIFY_QUICK_STDOUT = """\
+PASS matrix-valuation-16: measured 2^2, stored 2^2
+PASS matrix-valuation-24: measured 2^2, stored 2^2
+PASS matrix-valuation-32: measured 2^3, stored 2^3
+PASS matrix-valuation-40: measured 2^3, stored 2^3
+PASS code-distance-16: measured distance 2, need >= 2
+PASS code-distance-24: measured distance 3, need >= 3
+PASS code-distance-32: measured distance 4, need >= 4
+PASS code-distance-40: measured distance 5, need >= 5
+PASS nh-delta-universality-w4: max 0.062500 vs bound 0.062500
+all properties hold
+"""
+
+
+def test_verify_quick_stdout_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--quick")
+    assert code == 0
+    assert out == VERIFY_QUICK_STDOUT
+
+
+def _pinned_lengths(p):
+    """1 B, one instance (m8 bytes) and its neighbours, f instances, 1M, 1E."""
+    m8 = 8 * p.instance_words
+    return (1, m8 - 1, m8, m8 + 1, p.fanout * m8, 2**20, 2**60)
+
+
+ANALYZE_HEADER = (
+    "output_bytes,n_bytes,tree_height,tree_height_floor,epsilon_log2,seed_words,"
+    "seed_bytes,seed_words_paper,multiplications,multiplications_log_term"
+)
+# ``analyze --csv`` rows at _pinned_lengths, per variant.
+ANALYZE_ROWS = {
+    16: [
+        "16,1,0,0,59.91,253,2024,253,0,4",
+        "16,767,0,0,59.91,253,2024,253,128,98",
+        "16,768,0,0,59.91,253,2024,253,128,98",
+        "16,769,0,0,59.91,253,2024,253,128,100",
+        "16,6144,1,1,59.83,395,3160,253,1024,210",
+        "16,1048576,4,3,58.96,679,5432,679,174720,290",
+        "16,1152921504606846976,17,16,55.74,2525,20200,2525,192153584101141120,994",
+    ],
+    24: [
+        "24,1,0,0,89.98,410,3280,410,0,6",
+        "24,1343,0,0,89.98,410,3280,410,240,147",
+        "24,1344,0,0,89.98,410,3280,410,240,147",
+        "24,1345,0,0,89.98,410,3280,410,240,150",
+        "24,10752,1,1,89.96,623,4984,410,1920,315",
+        "24,1048576,4,3,88.99,1049,8392,1049,187200,531",
+        "24,1152921504606846976,17,16,83.72,3818,30544,3818,205878840108365520,2235",
+    ],
+    32: [
+        "32,1,0,0,116.00,485,3880,485,0,8",
+        "32,1343,0,0,116.00,485,3880,485,272,196",
+        "32,1344,0,0,116.00,485,3880,485,272,196",
+        "32,1345,0,0,116.00,485,3880,485,272,200",
+        "32,10752,1,1,116.00,769,6152,485,2176,420",
+        "32,1048576,4,3,115.91,1337,10696,1337,212160,708",
+        "32,1152921504606846976,17,16,111.58,5029,40232,5029,233329352122814256,2980",
+    ],
+    40: [
+        "40,1,0,0,145.00,506,4048,506,0,10",
+        "40,959,0,0,145.00,506,4048,506,256,245",
+        "40,960,0,0,145.00,506,4048,506,256,245",
+        "40,961,0,0,145.00,506,4048,506,256,250",
+        "40,7680,1,1,145.00,861,6888,506,2048,525",
+        "40,1048576,4,3,144.96,1571,12568,1571,279552,1005",
+        "40,1152921504606846976,17,16,139.53,6186,49488,6186,307445734561825792,3645",
+    ],
+}
+
+
+@pytest.mark.parametrize("width", sorted(ANALYZE_ROWS))
+def test_analyze_csv_rows_pinned(capsys, width):
+    rows = []
+    for n in _pinned_lengths(hh.variant(width)):
+        code, out, _ = run(capsys, "analyze", "--variant", str(width), "--length", str(n), "--csv")
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert header == ANALYZE_HEADER
+        rows.append(row)
+    assert rows == ANALYZE_ROWS[width]
+
+
 def test_bench_csv_contract(capsys):
     code, out, _ = run(capsys, "bench", "--sizes", "1K,4K", "--reps", "2")
     assert code == 0

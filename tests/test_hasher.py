@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import halftimehash as hh
-from halftimehash import ehc, gf16, hasher
+from halftimehash import ehc, gf16, hasher, tree
 from halftimehash.cli import fill_bytes
 from halftimehash.hasher import (
     SeedBuffer,
@@ -104,30 +104,29 @@ def test_expand_seed_matches_reference_stream():
         ^ int.from_bytes(master[16:24], "little")
         ^ int.from_bytes(master[24:32], "little")
     )
-    assert buf.words(0, 100) == reference.splitmix_stream(fold, 100)
-    assert buf.words_np(0, 100).tolist() == buf.words(0, 100)
+    assert buf.words_np(0, 100).tolist() == reference.splitmix_stream(fold, 100)
 
 
 def test_expand_seed_determinism_and_empty():
     a = expand_seed(ZERO_MASTER, 64)
     b = expand_seed(ZERO_MASTER, 64)
-    assert a.words(0, 64) == b.words(0, 64)
+    assert a.words_np(0, 64).tolist() == b.words_np(0, 64).tolist()
     empty = expand_seed(ZERO_MASTER, 0)
-    assert empty.words(0, 0) == []
+    assert empty.words_np(0, 0).tolist() == []
     with pytest.raises(IndexError):
-        empty.word(0)
+        empty.words_np(0, 1)
     with pytest.raises(ValueError):
         expand_seed(b"\x00" * 31, 4)
 
 
 def test_expand_seed_bit_flip_diffusion():
-    base = expand_seed(ZERO_MASTER, 64).words(0, 64)
+    base = expand_seed(ZERO_MASTER, 64).words_np(0, 64).tolist()
     rnd = random.Random(8)
     for _ in range(16):
         bit = rnd.randrange(256)
         master = bytearray(32)
         master[bit // 8] ^= 1 << (bit % 8)
-        flipped = expand_seed(bytes(master), 64).words(0, 64)
+        flipped = expand_seed(bytes(master), 64).words_np(0, 64).tolist()
         mean_hamming = sum(
             bin(a ^ b).count("1") for a, b in zip(base, flipped)
         ) / 64
@@ -136,7 +135,7 @@ def test_expand_seed_bit_flip_diffusion():
 
 def test_splitmix_mix_finalizer_constants():
     # mix(gamma) is the first word of the all-zero master's stream
-    assert expand_seed(ZERO_MASTER, 1).word(0) == reference.splitmix_stream(0, 1)[0]
+    assert expand_seed(ZERO_MASTER, 1).words_np(0, 1).tolist() == reference.splitmix_stream(0, 1)
 
 
 def test_words_np_is_read_only_view_of_stored_words():
@@ -147,19 +146,32 @@ def test_words_np_is_read_only_view_of_stored_words():
         view[0] = 0
     # every call slices the same stored array; nothing is recomputed
     assert np.shares_memory(view, seed.words_np(0, 64))
-    assert view.tolist() == seed.words(8, 16) == [seed.word(i) for i in range(8, 24)]
+    assert view.tolist() == [int(seed.words_np(i, 1)[0]) for i in range(8, 24)]
     with pytest.raises(IndexError):
         seed.words_np(60, 5)
     with pytest.raises(IndexError):
-        seed.words(-1, 2)
+        seed.words_np(-1, 2)
 
 
-@pytest.mark.parametrize("method", ["words", "words_np"])
+@pytest.mark.parametrize("method", ["words_np"])
 def test_negative_word_count_rejected(method):
     # [5, 3) lies inside the buffer, but a negative count is no range
     seed = expand_seed(RANGE_MASTER, 64)
     with pytest.raises(IndexError):
         getattr(seed, method)(5, -2)
+
+
+def test_seed_capacity_must_be_an_index():
+    # A float capacity used to construct, hold 3 words and report 2.5.
+    with pytest.raises(TypeError):
+        SeedBuffer(RANGE_MASTER, 2.5)
+    with pytest.raises(TypeError):
+        SeedBuffer(RANGE_MASTER, 3.0)
+    # numpy integers are indices, and are stored as int
+    seed = SeedBuffer(RANGE_MASTER, np.int64(3))
+    assert type(seed.capacity) is int
+    assert seed == SeedBuffer(RANGE_MASTER, 3)
+    assert hash(seed) == hash(SeedBuffer(RANGE_MASTER, 3))
 
 
 def test_equal_seed_buffers_compare_and_hash_equal():
@@ -208,7 +220,7 @@ def test_seed_layout_matches_budget_formula():
         for n_bytes in (0, 1, 1000, 167 * 8, 168 * 8, 10**6):
             lay = seed_layout(p, n_bytes)
             k, b, f = p.output_words, p.block_words, p.fanout
-            h = lay.levels
+            h = max(lay.levels, 1)
             assert lay.ehc_words == p.entropy_words
             assert lay.tree_words_per_tree == (f - 1) * h
             assert lay.finalize_words_per_tree == b * f * h
@@ -218,6 +230,37 @@ def test_seed_layout_matches_budget_formula():
                 + p.instance_words + k - 1
             )
             assert seed_words_needed(p, n_bytes) == lay.total_words
+
+
+def _layout_lengths(p):
+    """0 B, and 9 B either side of one, f and f^2 instances."""
+    m8 = 8 * p.instance_words
+    centres = st.sampled_from([m8 * p.fanout**j for j in range(3)])
+    return st.one_of(st.just(0), centres.flatmap(lambda c: st.integers(c - 9, c + 9)))
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_seed_layout_describes_what_the_engines_do(width, data):
+    p = hh.variant(width)
+    n_bytes = data.draw(_layout_lengths(p))
+    lay = seed_layout(p, n_bytes)
+    k, f = p.output_words, p.fanout
+    assert lay.instances * p.instance_words + lay.tail_words == -(-n_bytes // 8)
+    if lay.instances:
+        stack = tree.tree_reduce([(0,)] * lay.instances, [0] * (f - 1) * lay.instances, f)
+        assert lay.levels == len(stack)
+    else:
+        assert lay.levels == 0
+    counter = MultCounter()
+    seed = expand_seed(RANGE_MASTER, lay.total_words)
+    hh.hash_bytes(fill_bytes(n_bytes), seed, p, engine="scalar", counter=counter)
+    counts = counter.by_stage
+    assert counts.get("ehc", 0) == p.entropy_words * p.block_words * lay.instances
+    assert counts["finalize"] == k * lay.finalize_words
+    assert counts.get("remainder", 0) == k * lay.tail_words
+    assert seed_words_needed(p, n_bytes) == lay.total_words
 
 
 @pytest.mark.parametrize("n_bytes", [-1, -8, -9, -(2**20)])
@@ -343,7 +386,7 @@ def test_xtime_inplace_matches_xtime(data):
     for dtype in (np.uint64, np.uint16):
         width = np.dtype(dtype).itemsize * 8
         words = (_draw_words(data, (3, 40)) >> np.uint64(64 - width)).astype(dtype)
-        want = gf16.xtime(words, width, (1 << width) - 1)
+        want = gf16.xtime(words, width)
         got = words.copy()
         assert gf16.xtime_inplace(got) is got
         assert np.array_equal(got, want)
@@ -362,7 +405,7 @@ def test_encode_np_matches_scaled_xor(width, data):
     for j, row in enumerate(p.code.parity_rows):
         want = np.zeros_like(inst[:, :, 0])
         for i, coeff in enumerate(row):
-            want ^= gf16.scale(coeff, inst[:, :, i], 64, MASK64)
+            want ^= gf16.scale(coeff, inst[:, :, i], 64)
         assert np.array_equal(enc[:, d + j], want)
 
 

@@ -62,6 +62,8 @@ def test_ehc_toy_meets_scaled_adu_bound():
     bound = 2.0 ** (toy.output_words * (toy.max_det_valuation - 4))
     assert res.seeds_probed == 2**16
     assert res.probability <= bound
+    # 256 of the 65,536 enumerated seeds hit the worst delta
+    assert res.probability == 2**-8
 
 
 def test_ehc_probe_runs_the_reference_leaf_stage(monkeypatch):

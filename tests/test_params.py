@@ -55,6 +55,23 @@ def test_degenerate_geometry_rejected(change):
         dataclasses.replace(variant(24), **change)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"fanout": 8.0},
+        {"item_blocks": 1.5},
+        {"block_words": 8.0},
+        {"max_det_valuation": 2.0},
+        {"fanout": "8"},
+    ],
+)
+def test_non_int_geometry_rejected(change):
+    # A float fanout used to construct, and then made the seed budget a
+    # float and hash_bytes fail on a slice index.
+    with pytest.raises(ValueError, match="must be ints"):
+        dataclasses.replace(variant(24), **change)
+
+
 def test_unsupported_width():
     with pytest.raises(ValueError):
         variant(17)
