@@ -82,8 +82,9 @@ def _encode_symbols(code: ErasureCode, symbols, width: int) -> list:
     return [item[0][0] for item in ehc.encode([((s,),) for s in symbols], code, width)]
 
 
-def _exhaustive_min_distance(code: ErasureCode, symbol_bits: int) -> int:
-    """Exact minimum codeword weight at reduced symbol width.
+def _exhaustive_min_distance(code: ErasureCode) -> int:
+    """Exact minimum codeword weight over 4-bit symbols, one GF(16)
+    element each.
 
     Enumerates inputs by support size s; a codeword with s nonzero input
     symbols already has weight >= s in the systematic positions, so the
@@ -91,7 +92,7 @@ def _exhaustive_min_distance(code: ErasureCode, symbol_bits: int) -> int:
     nonzero input difference (the code is linear).
     """
     d = code.arity_in
-    nonzero = np.arange(1, 1 << symbol_bits, dtype=np.uint64)
+    nonzero = np.arange(1, 16, dtype=np.uint64)
     best = d + len(code.parity_rows) + 1
     s = 1
     while s <= d and s < best:
@@ -104,17 +105,16 @@ def _exhaustive_min_distance(code: ErasureCode, symbol_bits: int) -> int:
             for idx, pos in enumerate(support):
                 symbols[pos] = vals[:, idx]
             weights = np.full(len(vals), s, dtype=np.int64)
-            for parity in _encode_symbols(code, symbols, symbol_bits)[d:]:
+            for parity in _encode_symbols(code, symbols, 4)[d:]:
                 weights += parity != 0
             best = min(best, int(weights.min()))
         s += 1
     return best
 
 
-def _random_trial_min_distance(
-    code: ErasureCode, trials: int, rng: np.random.Generator
-) -> int:
+def _random_trial_min_distance(code: ErasureCode, trials: int) -> int:
     """Minimum observed symbol distance between random full-width pairs."""
+    rng = np.random.default_rng(0x5EED)
     d = code.arity_in
     best = code.arity_out + 1
     remaining = trials
@@ -135,33 +135,24 @@ def _random_trial_min_distance(
     return best
 
 
-def verify_min_distance(
-    code: ErasureCode,
-    symbol_bits: int,
-    trials: int = 10**6,
-    rng: np.random.Generator | None = None,
-) -> int:
+def verify_min_distance(code: ErasureCode, trials: int = 10**6) -> int:
     """Measure the code's minimum distance and gate it against the declaration.
 
-    Exhaustive at ``symbol_bits`` (the construction applies the same GF(16)
-    maps to independent 4-bit lanes, 16 to a 64-bit word, so a full-width
-    word is a direct sum of reduced-width copies and the reduced measurement
-    is exact), plus random full-width trials as a cross-check.  Both
-    measurements encode through :func:`halftimehash.ehc.encode`.  Raises
+    Exhaustive over 4-bit symbols, one GF(16) element each, plus ``trials``
+    random full-width pairs as a cross-check.  The exhaustive measurement
+    is exact at full width because the construction applies the same
+    GF(16) maps to independent 4-bit lanes, 16 to a 64-bit word, so a
+    full-width word is a direct sum of 4-bit copies; the tests check that
+    lane identity on ``ehc.encode`` itself.  Both measurements encode
+    through :func:`halftimehash.ehc.encode`.  Raises
     :class:`CodeDistanceError` if the measured distance is below
     ``code.min_distance``.
     """
-    if not 1 <= symbol_bits <= 8:
-        raise ValueError("symbol_bits must be in 1..8")
-    if code.arity_in * symbol_bits > 28:
-        raise ValueError("symbol width too large for exhaustive enumeration")
-    uses_field = any(c > 1 for row in code.parity_rows for c in row)
-    if uses_field and symbol_bits % 4:
-        raise ValueError("GF(16) coefficient rows need symbol_bits divisible by 4")
-    measured = _exhaustive_min_distance(code, symbol_bits)
+    if code.arity_in > 7:
+        raise ValueError("too many inputs for exhaustive 4-bit enumeration")
+    measured = _exhaustive_min_distance(code)
     if trials:
-        rng = rng or np.random.default_rng(0x5EED)
-        measured = min(measured, _random_trial_min_distance(code, trials, rng))
+        measured = min(measured, _random_trial_min_distance(code, trials))
     if measured < code.min_distance:
         raise CodeDistanceError(
             f"measured distance {measured} below declared {code.min_distance}"

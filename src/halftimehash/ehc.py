@@ -24,23 +24,22 @@ def encode(items: Sequence[Item], code: ErasureCode, width: int = 64) -> list[It
     """Erasure-encode ``arity_in`` items into ``arity_out`` items.
 
     Systematic: the inputs pass through verbatim, followed by the parity
-    items.  Parity arithmetic is GF(16) lane-wise per word, so the same
-    routine runs at reduced widths for verification.
+    items.  Each parity runs its row's ``horner_schedule``: per coefficient
+    bit, one GF(16) x-step of every parity word, then XOR in the picked
+    items, as ``hasher._encode_np`` does.  The arithmetic is lane-wise per
+    word, so the same routine runs at reduced widths for verification.
     """
     if len(items) != code.arity_in:
         raise ValueError(f"expected {code.arity_in} items, got {len(items)}")
     out: list[Item] = [tuple(tuple(block) for block in item) for item in items]
     for row in code.parity_rows:
-        parity = [
-            [0] * len(block) for block in items[0]
-        ]
-        for coeff, item in zip(row, items):
-            if coeff == 0:
-                continue
-            for t, block in enumerate(item):
-                dst = parity[t]
-                for u, word in enumerate(block):
-                    dst[u] ^= gf16.scale(coeff, word, width)
+        parity = [[0] * len(block) for block in items[0]]
+        for picked in horner_schedule(tuple(row)):
+            for t, dst in enumerate(parity):
+                for u in range(len(dst)):
+                    dst[u] = gf16.xtime(dst[u], width)
+                    for i in picked:
+                        dst[u] ^= items[i][t][u]
         out.append(tuple(tuple(block) for block in parity))
     return out
 

@@ -35,7 +35,10 @@ def xtime_inplace(value):
 
 
 def scale(coeff: int, value, width: int):
-    """Multiply every lane by the constant field element ``coeff`` (0..15)."""
+    """Multiply every lane by the constant field element ``coeff`` (0..15).
+
+    The definition the encoders are tested against; they run the same
+    product as a Horner sum on ``params.horner_schedule``."""
     acc = value & 0  # zero of the same type (int or ndarray)
     term = value
     for bit in range(4):

@@ -1,6 +1,6 @@
 """Published variant parameterizations: combine matrices, erasure codes,
 the block/lane geometry shared by all four output widths, and
-``horner_schedule``, which every combine and the lanes encoder run on.
+``horner_schedule``, which every encoder and combine runs on.
 
 Everything here is immutable after import and safe to share across threads.
 """

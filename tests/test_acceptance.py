@@ -46,7 +46,7 @@ def test_criterion_2_erasure_code_distance():
     results = {}
     ok = True
     for width, p in sorted(VARIANTS.items()):
-        dist = analysis.verify_min_distance(p.code, symbol_bits=4, trials=10**6)
+        dist = analysis.verify_min_distance(p.code, trials=10**6)
         results[width] = dist
         ok &= dist >= p.output_words
     _verdict(

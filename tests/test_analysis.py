@@ -97,10 +97,48 @@ def test_gf16_lanewise_scale_matches_tables():
 @pytest.mark.parametrize("width", sorted(VARIANTS))
 def test_shipped_codes_reach_declared_distance(width):
     p = variant(width)
-    measured = verify_min_distance(p.code, 4, trials=10**5)
+    measured = verify_min_distance(p.code, trials=10**5)
     assert measured >= p.output_words
     # exact, not just at least: an enumeration that overshoots would pass above
-    assert analysis._exhaustive_min_distance(p.code, 4) == p.code.min_distance
+    assert analysis._exhaustive_min_distance(p.code) == p.code.min_distance
+
+
+def _lane_mismatches(code: ErasureCode, n: int = 4096) -> int:
+    """How many of the 16 bit-sliced lanes of a width-64 ``ehc.encode``, on
+    n random word vectors, differ from the width-4 encode of that lane.
+    Lane j of a word holds bits j + 16c for c = 0..3."""
+    rng = np.random.default_rng(0x1A4E5)
+    words = rng.integers(0, 1 << 64, size=(code.arity_in, n), dtype=np.uint64)
+    wide = np.array(analysis._encode_symbols(code, list(words), 64))
+
+    def lane(x, j):
+        return sum(((x >> np.uint64(j + 16 * c)) & np.uint64(1)) << np.uint64(c) for c in range(4))
+
+    return sum(
+        not np.array_equal(
+            lane(wide, j), np.array(analysis._encode_symbols(code, list(lane(words, j)), 4))
+        )
+        for j in range(16)
+    )
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+def test_full_width_encode_is_sixteen_lane_encodes(width):
+    # The claim that makes the 4-bit distance search exact at width 64.
+    assert _lane_mismatches(variant(width).code) == 0
+
+
+def test_lane_identity_catches_a_width_64_only_fault(monkeypatch):
+    # An x-step of stride 1 instead of width >> 2 is the same map at width
+    # 4, so the 4-bit search cannot see it; the lane identity must.
+    def xtime_stride_one(value, width):
+        top = value >> 3
+        return ((value << 1) & ((1 << width) - 1)) ^ top ^ (top << 1)
+
+    monkeypatch.setattr(gf16, "xtime", xtime_stride_one)
+    code = variant(24).code
+    assert analysis._exhaustive_min_distance(code) == 3
+    assert _lane_mismatches(code) > 0
 
 
 def test_distance_checks_encode_through_ehc(monkeypatch):
@@ -114,35 +152,30 @@ def test_distance_checks_encode_through_ehc(monkeypatch):
 
     monkeypatch.setattr(ehc, "encode", encode_without_last_parity)
     with pytest.raises(CodeDistanceError):
-        verify_min_distance(variant(24).code, 4, trials=10**4)
+        verify_min_distance(variant(24).code, trials=10**4)
 
 
 def test_xor_parity_distance_two():
     code = ErasureCode(2, 2, ((1, 1),))
-    assert verify_min_distance(code, 4, trials=10**4) == 2
+    assert verify_min_distance(code, trials=10**4) == 2
 
 
 def test_repetition_code_distance_two():
     code = ErasureCode(1, 2, ((1,),))
-    assert verify_min_distance(code, 6, trials=10**4) == 2
+    assert verify_min_distance(code, trials=10**4) == 2
 
 
 def test_distance_deficient_code_rejected():
     # two equal coefficients make a weight-2 codeword invisible to one parity
     bad = ErasureCode(2, 3, ((1, 1),))
     with pytest.raises(CodeDistanceError):
-        verify_min_distance(bad, 4, trials=10**4)
+        verify_min_distance(bad, trials=10**4)
 
 
 def test_verify_min_distance_preconditions():
-    code = variant(24).code
-    with pytest.raises(ValueError):
-        verify_min_distance(code, 9)
-    with pytest.raises(ValueError):
-        verify_min_distance(code, 5)  # GF(16) rows need a multiple of 4
     wide = ErasureCode(8, 2, ((1,) * 8,))
     with pytest.raises(ValueError):
-        verify_min_distance(wide, 8)  # 8 * 8 bits > 28-bit enumeration cap
+        verify_min_distance(wide)  # 8 inputs > the 7-input enumeration cap
 
 
 def test_entropy_report_pinned_formula_case():

@@ -102,6 +102,18 @@ def test_hash_seed_hex_and_file_agree(capsys, tmp_path):
     assert out_hex.strip() == hh.digest(b"payload", master).hex()
 
 
+def test_hash_seed_hex_and_file_together_exit_2(capsys, tmp_path):
+    # Both options at once used to hash under the hex and ignore the file.
+    data_path = tmp_path / "in.bin"
+    data_path.write_bytes(b"payload")
+    seed_path = tmp_path / "seed.bin"
+    seed_path.write_bytes(bytes(range(32)))
+    with pytest.raises(SystemExit) as exc:
+        main(["hash", "--seed-hex", "00" * 32, "--seed-file", str(seed_path), str(data_path)])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_hash_bad_variant_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["hash", "--variant", "17", "-"])

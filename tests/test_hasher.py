@@ -399,14 +399,27 @@ def test_encode_np_matches_scaled_xor(width, data):
     p = hh.variant(width)
     d = p.instance_items
     inst = _draw_words(data, (2, 3, d, p.item_blocks, p.block_words))
-    enc = hasher._encode_np(inst, p)
-    for i in range(d):
-        assert np.array_equal(enc[:, i], inst[:, :, i])
-    for j, row in enumerate(p.code.parity_rows):
-        want = np.zeros_like(inst[:, :, 0])
-        for i, coeff in enumerate(row):
-            want ^= gf16.scale(coeff, inst[:, :, i], 64)
-        assert np.array_equal(enc[:, d + j], want)
+    nibbles = inst & np.uint64(15)
+
+    def scalar(words, bits):
+        # ehc.encode on Python ints, one call per instance: (2, 3, e, w, b)
+        return np.array(
+            [[ehc.encode(x.tolist(), p.code, bits) for x in row] for row in words],
+            dtype=np.uint64,
+        )
+
+    cases = [  # (input words, lane width, encoding as (2, 3, e, w, b))
+        (inst, 64, np.moveaxis(hasher._encode_np(inst, p), 1, 2)),
+        (inst, 64, scalar(inst, 64)),
+        (nibbles, 4, scalar(nibbles, 4)),
+    ]
+    for words, bits, enc in cases:
+        assert np.array_equal(enc[:, :, :d], words)
+        for j, row in enumerate(p.code.parity_rows):
+            want = np.zeros_like(words[:, :, 0])
+            for i, coeff in enumerate(row):
+                want ^= gf16.scale(coeff, words[:, :, i], bits)
+            assert np.array_equal(enc[:, :, d + j], want)
 
 
 @pytest.mark.parametrize("width", sorted(VARIANTS))

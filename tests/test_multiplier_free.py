@@ -4,11 +4,16 @@ import textwrap
 
 import pytest
 
-from halftimehash import ehc, hasher, params
+from halftimehash import ehc, gf16, hasher, params
 
-# The paper's combine multiplies by matrix constants with shifts and adds
-# only; these functions run it.
-COMBINE_FUNCTIONS = [
+# The paper's encode multiplies by GF(16) constants with shifts and XORs,
+# and its combine by matrix constants with shifts and adds only; these
+# functions run them.
+ENCODE_AND_COMBINE_FUNCTIONS = [
+    ehc.encode,
+    hasher._encode_np,
+    gf16.xtime,
+    gf16.xtime_inplace,
     ehc.combine,
     hasher._combine_np,
     hasher._horner,
@@ -49,14 +54,14 @@ def _multiplications(source: str) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("fn", COMBINE_FUNCTIONS, ids=lambda fn: fn.__qualname__)
-def test_combine_has_no_multiplier(fn):
+@pytest.mark.parametrize("fn", ENCODE_AND_COMBINE_FUNCTIONS, ids=lambda fn: fn.__qualname__)
+def test_encode_and_combine_have_no_multiplier(fn):
     assert _multiplications(inspect.getsource(fn)) == []
 
 
 def test_guard_flags_a_plain_coefficient_multiply():
     # The guard has to catch the combine written as a multiply: each of
-    # these lines alone would make test_combine_has_no_multiplier fail.
+    # these lines alone would make test_encode_and_combine_have_no_multiplier fail.
     for line in [
         "out[..., r, :, :] += hashed[..., c, :, :] * np.uint64(coeff)",
         "acc *= coeff",
