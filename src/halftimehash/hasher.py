@@ -6,9 +6,14 @@ Two engines produce bit-identical digests: a pure-Python scalar path (the
 instrumentable reference) and a numpy lane path that vectorizes across
 block lanes and across batched inputs.  The lane path reads the input's
 whole 64-bit words in place, without copying them, and takes the instances
-in cache-sized runs through the leaf stage and the k trees.  Between runs
-each tree level keeps fewer than f blocks, so the memory it needs beyond
-the input is bounded by the run size, however long the input.  Both accept
+in cache-sized runs through the leaf stage and the k trees.  A run's parity
+rows, and then its combine rows, step together on one level-synchronous
+``horner_plan``; the scalar path runs each row on its own
+``horner_schedule``.  The leaf NH
+works inside the encoded run, and each run's arrays are freed before the
+next run is read.  Between runs each tree level keeps fewer than f blocks,
+so the memory it needs beyond the input is bounded by the run size,
+however long the input.  Both accept
 any C-contiguous bytes-like input.  A digest is a function of (input bytes,
 master seed, variant) only; seed buffers may be expanded for any sufficient
 capacity without changing results.  ``expand_seed`` computes all the words
@@ -24,14 +29,14 @@ from __future__ import annotations
 import operator
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import ehc as ehc_mod
 from . import tree as tree_mod
 from .nh import MultCounter, nh_full, words_to_halves
-from .params import MASK64, HashParams, horner_schedule
+from .params import MASK64, HashParams, horner_plan
 from . import gf16
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -95,8 +100,7 @@ def expand_seed(master: bytes, needed: int) -> SeedBuffer:
     return SeedBuffer(master, needed)
 
 
-@dataclass(frozen=True)
-class SeedLayout:
+class SeedLayout(NamedTuple):
     """How ``hash_bytes`` reads an input of one length, and the seed
     regions that key each part.
 
@@ -310,16 +314,29 @@ def _nh_halves(words: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.nda
     return lo, s
 
 
-def _nh_words_np(words: np.ndarray, seeds: np.ndarray, axis: int = -1) -> np.ndarray:
-    """nh_full over word axis ``axis``, -1 or -2; halves are the 32-bit
-    word halves."""
+def _nh_words_np(words: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """nh_full over the last axis; halves are the 32-bit word halves."""
     lo, hi = _nh_halves(words, seeds)
-    if axis == -1:
-        lo *= hi
-        return lo.sum(axis=-1)
+    lo *= hi
+    return lo.sum(axis=-1)
+
+
+def _leaf_nh_np(enc: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """nh_full over axis -2 of ``enc``, the words of each lane on the last
+    axis: (..., w, b) -> (..., b).
+
+    Consumes ``enc``: the keys are added into it and its high halves
+    shifted down in place, so the low halves are the one new array of its
+    size.  ``keys`` broadcasts against ``enc``; both need a contiguous last
+    axis, of the same length.
+    """
+    halves = enc.view(np.uint32)
+    np.add(halves, keys.view(np.uint32), out=halves)
+    lo = enc & np.uint64(_HALF)
+    enc >>= np.uint64(32)
     # One einsum multiplies and sums without storing the products, and
     # on a short axis that is not the last it is also the faster sum.
-    return np.einsum("...ij,...ij->...j", lo, hi)
+    return np.einsum("...ij,...ij->...j", lo, enc)
 
 
 def _nh_node_np(blocks: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -334,28 +351,34 @@ def _nh_node_np(blocks: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _horner(acc: np.ndarray, terms: list, coeffs: Sequence[int], times_x, add) -> None:
-    """Write ``sum(c * t)`` over ``coeffs`` and ``terms`` into ``acc``.
+def _run_plan(levels: tuple, block: np.ndarray, rows: list, terms: list, times_x, add) -> None:
+    """Write row r's ``sum(c * t)`` over ``terms`` into ``rows[r]``, for
+    every row of a ``horner_plan``; ``rows`` are views that together make
+    ``block``.
 
-    Horner form, on ``horner_schedule(coeffs)``: per coefficient bit, from
-    the top down, multiply the accumulator by x, then add that bit's
-    terms.  That is one ``times_x`` per bit, however many terms there are.
+    Per level, from the top: one ``times_x`` of the whole block, then each
+    row adds that level's terms.  A row's first terms overwrite it, so the
+    block needs no zeroing before; a row with no terms is zeroed at the end.
     """
-    schedule = horner_schedule(tuple(coeffs))
-    if not schedule:
-        acc.fill(0)
-        return
-    top = schedule[0]
-    if len(top) > 1:
-        add(terms[top[0]], terms[top[1]], out=acc)
-    else:
-        np.copyto(acc, terms[top[0]])
-    for i in top[2:]:
-        add(acc, terms[i], out=acc)
-    for picked in schedule[1:]:
-        times_x(acc)
-        for i in picked:
-            add(acc, terms[i], out=acc)
+    unset = set(range(len(rows)))
+    for depth, level in enumerate(levels):
+        if depth:
+            times_x(block)
+        for r, picked in enumerate(level):
+            if not picked:
+                continue
+            acc = rows[r]
+            if r in unset:
+                unset.remove(r)
+                if len(picked) == 1:
+                    np.copyto(acc, terms[picked[0]])
+                    continue
+                add(terms[picked[0]], terms[picked[1]], out=acc)
+                picked = picked[2:]
+            for i in picked:
+                add(acc, terms[i], out=acc)
+    for r in unset:
+        rows[r].fill(0)
 
 
 def _double(acc: np.ndarray) -> None:
@@ -366,32 +389,35 @@ def _encode_np(inst: np.ndarray, params: HashParams) -> np.ndarray:
     """inst: (..., n, d, w, b) -> (..., e, n, w, b) systematic encoding.
 
     The output is item-major, so every item and parity is one contiguous
-    array.  Each parity is a GF(16) Horner sum of the items, so it costs
-    at most three multiplications by x, and XOR parity none.  Equal to
-    XORing ``gf16.scale(coeff, v)`` over each row.
+    array.  The parities are GF(16) Horner sums of the items, run together
+    on the rows' ``horner_plan``: at most three multiplications by x of
+    the whole parity block, and none for XOR parity.  Equal to XORing
+    ``gf16.scale(coeff, v)`` over each row.
     """
     d = params.instance_items
     shape = inst.shape[:-4] + (params.encoded_items, inst.shape[-4]) + inst.shape[-2:]
     enc = np.empty(shape, dtype=np.uint64)
     enc[..., :d, :, :, :] = np.moveaxis(inst, -3, -4)
-    items = [enc[..., i, :, :, :] for i in range(d)]
-    for j, row in enumerate(params.code.parity_rows):
-        _horner(enc[..., d + j, :, :, :], items, row, gf16.xtime_inplace, np.bitwise_xor)
+    items = [enc[..., i, :, :, :] for i in range(params.encoded_items)]
+    plan = horner_plan(tuple(map(tuple, params.code.parity_rows)))
+    _run_plan(plan, enc[..., d:, :, :, :], items[d:], items[:d], gf16.xtime_inplace, np.bitwise_xor)
     return enc
 
 
 def _combine_np(hashed: np.ndarray, params: HashParams) -> np.ndarray:
     """hashed: (..., e, n, b) -> (..., k, n, b) via the combine matrix.
 
-    Each row is a Horner sum mod 2^64 on the row's ``horner_schedule``:
-    one shift per coefficient bit, plus adds, and no multiplier.  Equal to
-    ``sum(c * hashed[c])`` over each row, and to ``ehc.combine``.
+    The rows are Horner sums mod 2^64, run together on the rows'
+    ``horner_plan``: one shift of all rows per coefficient bit, plus adds,
+    and no multiplier.  Equal to ``sum(c * hashed[c])`` over each row, and
+    to ``ehc.combine``.
     """
     shape = hashed.shape[:-3] + (params.output_words,) + hashed.shape[-2:]
     out = np.empty(shape, dtype=np.uint64)
+    rows = [out[..., r, :, :] for r in range(params.output_words)]
     cols = [hashed[..., c, :, :] for c in range(hashed.shape[-3])]
-    for r, row in enumerate(params.matrix.entries):
-        _horner(out[..., r, :, :], cols, row, _double, np.add)
+    plan = horner_plan(tuple(map(tuple, params.matrix.entries)))
+    _run_plan(plan, out, rows, cols, _double, np.add)
     return out
 
 
@@ -401,6 +427,30 @@ def _word_range(words: np.ndarray, last: np.ndarray, lo: int, hi: int) -> np.nda
     if hi <= words.shape[1]:
         return words[:, lo:hi]
     return np.concatenate([words[:, lo:], last], axis=1)
+
+
+def _hash_run(
+    inst: np.ndarray, ent: np.ndarray, node_keys: list, pending: list, params: HashParams
+) -> None:
+    """Take one run of (B, n, d, w, b) instances through the leaf stage and
+    into the k trees, whose unmerged blocks per level are ``pending``.
+
+    The run's encoded, hashed and combined arrays are locals here, so they
+    are freed before the next run is read.
+    """
+    f = params.fanout
+    blocks = _combine_np(_leaf_nh_np(_encode_np(inst, params), ent), params)
+    # Consecutive groups of f merge into the next level; the rest waits for
+    # the next run.  The top level never fills.
+    for i in range(len(pending)):
+        if pending[i].shape[2]:
+            blocks = np.concatenate([pending[i], blocks], axis=2)
+        cut = blocks.shape[2] - blocks.shape[2] % f
+        pending[i] = blocks[:, :, cut:]
+        if not cut:
+            break
+        groups = blocks[:, :, :cut].reshape(blocks.shape[:2] + (cut // f, f, blocks.shape[-1]))
+        blocks = _nh_node_np(groups, node_keys[i])
 
 
 def _hash_words_np(
@@ -448,19 +498,7 @@ def _hash_words_np(
         for t in range(0, n_inst, run):
             u = min(t + run, n_inst)
             inst = _word_range(words, last, t * m, u * m).reshape(batch, u - t, d, w, b)
-            hashed = _nh_words_np(_encode_np(inst, params), ent, axis=-2)
-            blocks = _combine_np(hashed, params)
-            # Consecutive groups of f merge into the next level; the rest
-            # waits for the next run.  The top level never fills.
-            for i in range(levels):
-                if pending[i].shape[2]:
-                    blocks = np.concatenate([pending[i], blocks], axis=2)
-                cut = blocks.shape[2] - blocks.shape[2] % f
-                pending[i] = blocks[:, :, cut:]
-                if not cut:
-                    break
-                groups = blocks[:, :, :cut].reshape(batch, k, cut // f, f, b)
-                blocks = _nh_node_np(groups, node_keys[i])
+            _hash_run(inst, ent, node_keys, pending, params)
 
     # One finalize row per tree: each level fills f - 1 block slots, absent
     # blocks are zero, the length tag comes last, and tree r's key starts

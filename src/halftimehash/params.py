@@ -1,6 +1,7 @@
 """Published variant parameterizations: combine matrices, erasure codes,
-the block/lane geometry shared by all four output widths, and
-``horner_schedule``, which every encoder and combine runs on.
+the block/lane geometry shared by all four output widths,
+``horner_schedule``, which every encoder and combine runs on, and
+``horner_plan``, which steps all rows of a matrix on it together.
 
 Everything here is immutable after import and safe to share across threads.
 """
@@ -25,6 +26,18 @@ def horner_schedule(row: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(i for i, c in enumerate(row) if c >> bit & 1) for bit in reversed(range(top))
     )
+
+
+@cache
+def horner_plan(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All ``rows`` on one level-synchronous Horner schedule: entry ``h``
+    holds, for each row, the terms it adds at level ``h``.  Each row's
+    ``horner_schedule`` is left-padded with empty levels to the tallest
+    row's height, so one x-step of the whole output block per level serves
+    every row."""
+    schedules = [horner_schedule(tuple(row)) for row in rows]
+    height = max(map(len, schedules), default=0)
+    return tuple(zip(*[((),) * (height - len(schedule)) + schedule for schedule in schedules]))
 
 
 @dataclass(frozen=True)

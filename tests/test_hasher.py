@@ -21,7 +21,7 @@ from halftimehash.hasher import (
     words_from_bytes,
 )
 from halftimehash.nh import MultCounter, nh_blockwise, nh_full, words_to_halves
-from halftimehash.params import MASK64, VARIANTS, TransformMatrix
+from halftimehash.params import MASK64, VARIANTS, TransformMatrix, horner_plan, horner_schedule
 
 import reference
 
@@ -474,6 +474,22 @@ def test_random_parity_rows_encode_like_scalar_reference(width, data):
         assert [tuple(map(tuple, item)) for item in enc[0, :, t].tolist()] == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_rows=st.integers(0, 6), n_cols=st.integers(1, 10))
+def test_horner_plan_pads_row_schedules_to_one_height(data, n_rows, n_cols):
+    rows = data.draw(_coefficient_rows(n_rows, n_cols))
+    levels = horner_plan(rows)
+    schedules = [horner_schedule(row) for row in rows]
+    assert len(levels) == max(map(len, schedules), default=0)
+    assert all(len(level) == n_rows for level in levels)
+    for r, schedule in enumerate(schedules):
+        pad = len(levels) - len(schedule)
+        assert [level[r] for level in levels] == [()] * pad + list(schedule)
+    # One x-step of the whole block per level below the top: never more
+    # calls than the rows make one at a time.
+    assert max(len(levels) - 1, 0) <= sum(max(len(s) - 1, 0) for s in schedules)
+
+
 def test_list_rows_hash_like_tuple_rows():
     # The schedule cache is keyed by tuples; rows given as lists still hash.
     p = hh.variant(24)
@@ -515,10 +531,10 @@ def test_nh_kernels_match_nh_full(data, n):
     got = hasher._nh_words_np(words, seeds)
     for row, value in zip(words.tolist(), got.tolist()):
         assert value == _nh_ref(row, seeds.tolist())
-    # the leaf's form: NH over axis -2, lanes on the last axis
+    # the leaf's kernel: NH over axis -2, lanes on the last axis, in place
     lanes = _draw_words(data, (2, n, 8))
     lane_seeds = _draw_words(data, (n, 8))
-    got = hasher._nh_words_np(lanes, lane_seeds, axis=-2)
+    got = hasher._leaf_nh_np(lanes.copy(), lane_seeds)
     for i in range(2):
         for j in range(8):
             assert got[i, j] == _nh_ref(lanes[i, :, j].tolist(), lane_seeds[:, j].tolist())
@@ -638,6 +654,18 @@ def test_lanes_memory_below_input_size(width, unaligned_16m):
     p = hh.variant(width)
     seed = hh.seed_for_input(ZERO_MASTER, p, len(data))
     assert _traced_peak(data, seed, p) < len(data)
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+def test_lanes_memory_within_three_encoded_runs(width, unaligned_16m):
+    # The leaf NH works inside the encoded run, and each run's arrays are
+    # freed before the next run is read, so the peak stays within three
+    # times one run's encoded bytes.
+    p = hh.variant(width)
+    run_words = max(1, hasher._RUN_WORDS // p.instance_words) * p.instance_words
+    encoded_run = p.encoded_items * run_words // p.instance_items * 8
+    seed = hh.seed_for_input(ZERO_MASTER, p, len(unaligned_16m))
+    assert _traced_peak(unaligned_16m, seed, p) <= 3 * encoded_run
 
 
 @pytest.mark.parametrize("width", sorted(VARIANTS))

@@ -16,9 +16,10 @@ ENCODE_AND_COMBINE_FUNCTIONS = [
     gf16.xtime_inplace,
     ehc.combine,
     hasher._combine_np,
-    hasher._horner,
+    hasher._run_plan,
     hasher._double,
     params.horner_schedule,
+    params.horner_plan,
 ]
 
 MULTIPLYING_CALLS = {"multiply", "einsum", "dot", "matmul", "prod"}
