@@ -9,11 +9,10 @@ whole 64-bit words in place, without copying them, and takes the instances
 in cache-sized runs through the leaf stage and the k trees.  A run's parity
 rows, and then its combine rows, step together on one level-synchronous
 ``horner_plan``; the scalar path runs each row on its own
-``horner_schedule``.  The leaf NH
-works inside the encoded run, and each run's arrays are freed before the
-next run is read.  Between runs each tree level keeps fewer than f blocks,
-so the memory it needs beyond the input is bounded by the run size,
-however long the input.  Both accept
+``horner_schedule``.  The leaf NH works inside the encoded run, and each
+run's arrays are freed before the next run is read.  Between runs each
+tree level keeps fewer than f blocks, so the memory it needs beyond the
+input is bounded by the run size, however long the input.  Both accept
 any C-contiguous bytes-like input.  A digest is a function of (input bytes,
 master seed, variant) only; seed buffers may be expanded for any sufficient
 capacity without changing results.  ``expand_seed`` computes all the words
