@@ -82,6 +82,11 @@ def _encode_symbols(code: ErasureCode, symbols, width: int) -> list:
     return [item[0][0] for item in ehc.encode([((s,),) for s in symbols], code, width)]
 
 
+#: Most rows of one support size's symbol grid in the exhaustive distance
+#: search; the shipped codes need at most 15^4, at v40.
+_GRID_ROW_LIMIT = 15**5
+
+
 def _exhaustive_min_distance(code: ErasureCode) -> int:
     """Exact minimum codeword weight over 4-bit symbols, one GF(16)
     element each.
@@ -92,6 +97,14 @@ def _exhaustive_min_distance(code: ErasureCode) -> int:
     nonzero input difference (the code is linear).
     """
     d = code.arity_in
+    # Any one-symbol input weighs at most 1 + parities, so no support size
+    # past min(d, parities) is searched; refuse a code whose widest grid
+    # would not fit in memory before building any (15^6 rows take ~1 GB).
+    widest = min(d, len(code.parity_rows))
+    if 15**widest > _GRID_ROW_LIMIT:
+        raise ValueError(
+            f"support size {widest} needs 15^{widest} grid rows, over the 15^5 limit"
+        )
     nonzero = np.arange(1, 16, dtype=np.uint64)
     best = d + len(code.parity_rows) + 1
     s = 1
@@ -146,7 +159,8 @@ def verify_min_distance(code: ErasureCode, trials: int = 10**6) -> int:
     lane identity on ``ehc.encode`` itself.  Both measurements encode
     through :func:`halftimehash.ehc.encode`.  Raises
     :class:`CodeDistanceError` if the measured distance is below
-    ``code.min_distance``.
+    ``code.min_distance``, and ``ValueError`` for a code too wide to
+    enumerate.
     """
     if code.arity_in > 7:
         raise ValueError("too many inputs for exhaustive 4-bit enumeration")

@@ -142,25 +142,12 @@ def _verify_properties(quick: bool):
     yield "nh-delta-universality-w4", worst <= bound, f"max {worst:.6f} vs bound {bound:.6f}"
 
     if not quick:
-        toy, probe = _toy_ehc_probe()
+        toy, probe = oracle.toy_ehc_probe()
         res = oracle.max_delta_probability("ehc", probe)
         b = 2.0 ** -analysis.ehc_bound(toy, 4)
         yield "ehc-delta-universality-w4", res.probability <= b, (
             f"max {res.probability:.6f} vs bound {b:.6f}"
         )
-
-
-def _toy_ehc_probe(matrix_entries=((1, 0, 1), (0, 1, 1))):
-    """Single-lane k=2 leaf-stage geometry small enough to enumerate."""
-    from .params import ErasureCode, HashParams, TransformMatrix
-
-    matrix = TransformMatrix(matrix_entries)
-    measured_p = analysis.max_two_adic_valuation(matrix, 2)
-    code = ErasureCode(2, min_distance=2, parity_rows=((1, 1),))
-    toy = HashParams(matrix, code, 1, 1, 2, measured_p)
-    x = (((3,),), ((5,),))
-    y = (((3,),), ((9,),))
-    return toy, oracle.DeltaProbe(x, y, None, 4, params=toy, salt=7)
 
 
 def cmd_verify(args) -> int:

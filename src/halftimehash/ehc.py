@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import gf16
-from .nh import MultCounter, nh_full, words_to_halves
+from .nh import MultCounter, nh_full
 from .params import ErasureCode, HashParams, TransformMatrix, horner_schedule
 
 Item = Sequence[Sequence[int]]
@@ -53,20 +53,14 @@ def hash_encoded(
     """NH each encoded item down to one block.
 
     Item ``i`` is keyed by entropy words ``[i*w, (i+1)*w)``; lane ``j``
-    hashes the item's ``w`` lane-``j`` words (2w half-words).
+    hashes the item's ``w`` lane-``j`` words.
     """
-    item_blocks = len(encoded[0])
-    lanes = len(encoded[0][0])
+    w = len(encoded[0])
     out = []
     for i, item in enumerate(encoded):
-        seed_halves = words_to_halves(
-            entropy[i * item_blocks : (i + 1) * item_blocks], half_bits
-        )
-        block = []
-        for j in range(lanes):
-            lane_halves = words_to_halves([item[t][j] for t in range(item_blocks)], half_bits)
-            block.append(nh_full(lane_halves, seed_halves, half_bits, counter, "ehc"))
-        out.append(tuple(block))
+        keys = entropy[i * w : (i + 1) * w]
+        lanes = zip(*item, strict=True)
+        out.append(tuple(nh_full(lane, keys, half_bits, counter, "ehc") for lane in lanes))
     return out
 
 

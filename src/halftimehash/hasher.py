@@ -34,7 +34,7 @@ import numpy as np
 
 from . import ehc as ehc_mod
 from . import tree as tree_mod
-from .nh import MultCounter, nh_full, words_to_halves
+from .nh import MultCounter, nh_full
 from .params import MASK64, HashParams, horner_plan
 from . import gf16
 
@@ -224,12 +224,10 @@ def hash_remainder(
     n = len(tail)
     if len(remainder_words) < n + k - 1:
         raise ValueError("remainder key region too short")
-    tail_halves = words_to_halves(tail, half_bits)
-    out = []
-    for i in range(k):
-        seed_halves = words_to_halves(remainder_words[i : i + n], half_bits)
-        out.append(nh_full(tail_halves, seed_halves, half_bits, counter, "remainder"))
-    return tuple(out)
+    return tuple(
+        nh_full(tail, remainder_words[i : i + n], half_bits, counter, "remainder")
+        for i in range(k)
+    )
 
 
 def _hash_scalar(

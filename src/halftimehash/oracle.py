@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import analysis
 from . import ehc as ehc_mod
 from . import tree as tree_mod
 from .hasher import _stream_words_np
 from .nh import nh_full
-from .params import MASK64, HashParams
+from .params import MASK64, ErasureCode, HashParams, TransformMatrix
 
 _EXHAUSTIVE_LIMIT = 1 << 32
 
@@ -80,27 +81,30 @@ def _enumerate(seed: list[int], positions: list[int], bits: int, diff) -> tuple[
 
 
 def _nh_delta_distribution(probe: DeltaProbe) -> tuple[Counter, int]:
-    """Distribution of nh_full(x) - nh_full(y) over one enumerated seed pair.
+    """Distribution of nh_full(x) - nh_full(y) over one enumerated seed word.
 
-    The enumerated pair sits at the first differing input pair; every other
-    seed half-word is pinned to a salt-derived constant.
+    The probe's half-words pack into words, low half first.  The enumerated
+    seed word sits at the first differing input word, and its low half
+    takes the low bits of the enumeration counter; every other seed
+    half-word is pinned to a salt-derived constant.
     """
     x, y, h = probe.x, probe.y, probe.half_bits
     if len(x) != len(y) or len(x) % 2:
         raise ValueError("probe inputs must be equal even-length half-word sequences")
-    full_mask = (1 << (2 * h)) - 1
-    pairs = len(x) // 2
-    target = next(
-        (i for i in range(pairs) if (x[2 * i], x[2 * i + 1]) != (y[2 * i], y[2 * i + 1])),
-        None,
-    )
+
+    def words(halves):
+        return [lo | hi << h for lo, hi in zip(halves[0::2], halves[1::2])]
+
+    x_words, y_words = words(x), words(y)
+    target = next((i for i, (a, b) in enumerate(zip(x_words, y_words)) if a != b), None)
     if target is None:
         raise ValueError("inputs are identical; no differing pair to enumerate")
+    full_mask = (1 << (2 * h)) - 1
     return _enumerate(
-        _fixed_seeds(probe.salt, 2 * pairs, h),
-        [2 * target, 2 * target + 1],
-        h,
-        lambda seed: (nh_full(x, seed, h) - nh_full(y, seed, h)) & full_mask,
+        words(_fixed_seeds(probe.salt, len(x), h)),
+        [target],
+        2 * h,
+        lambda seed: (nh_full(x_words, seed, h) - nh_full(y_words, seed, h)) & full_mask,
     )
 
 
@@ -130,6 +134,18 @@ def _ehc_delta_distribution(probe: DeltaProbe) -> tuple[Counter, int]:
 
     entropy = _fixed_seeds(probe.salt, params.entropy_words, full_bits)
     return _enumerate(entropy, differing[:k], full_bits, diff)
+
+
+def toy_ehc_probe(matrix_entries=((1, 0, 1), (0, 1, 1))) -> tuple[HashParams, DeltaProbe]:
+    """Single-lane k=2 leaf-stage geometry small enough to enumerate, and
+    a width-4 probe of it."""
+    matrix = TransformMatrix(matrix_entries)
+    measured_p = analysis.max_two_adic_valuation(matrix, 2)
+    code = ErasureCode(2, min_distance=2, parity_rows=((1, 1),))
+    toy = HashParams(matrix, code, 1, 1, 2, measured_p)
+    x = (((3,),), ((5,),))
+    y = (((3,),), ((9,),))
+    return toy, DeltaProbe(x, y, None, 4, params=toy, salt=7)
 
 
 def max_delta_probability(stage: str, probe: DeltaProbe) -> ProbeResult:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .nh import MultCounter, nh_blockwise, nh_full, words_to_halves
+from .nh import MultCounter, nh_blockwise, nh_full
 
 Block = tuple[int, ...]
 LevelStack = list[list[Block]]
@@ -113,7 +113,7 @@ def tree_finalize(
 
     Every level occupies ``fanout - 1`` block positions; absent leftovers
     are zero blocks, so the layout is a function of the block count alone.
-    The length tag enters as the final half-word pair.
+    The length tag enters as the final word.
     """
     full_mask = (1 << (2 * half_bits)) - 1
     words: list[int] = []
@@ -125,10 +125,4 @@ def tree_finalize(
     words.append(n_tag & full_mask)
     if len(seed_words) < len(words):
         raise ValueError("finalize seed region shorter than the slot layout")
-    return nh_full(
-        words_to_halves(words, half_bits),
-        words_to_halves(seed_words[: len(words)], half_bits),
-        half_bits,
-        counter,
-        "finalize",
-    )
+    return nh_full(words, seed_words, half_bits, counter, "finalize")

@@ -12,7 +12,7 @@ import pytest
 
 import halftimehash as hh
 from halftimehash import analysis, hasher, oracle
-from halftimehash.cli import _toy_ehc_probe, fill_bytes, main
+from halftimehash.cli import fill_bytes, main
 from halftimehash.nh import MultCounter
 from halftimehash.params import VARIANTS
 
@@ -98,7 +98,7 @@ def test_criterion_4_generalized_ehc_desk_scale():
     details = []
     ok = True
     for entries in (((1, 0, 1), (0, 1, 1)), ((1, 1, 0), (1, 3, 2))):
-        toy, probe = _toy_ehc_probe(entries)
+        toy, probe = oracle.toy_ehc_probe(entries)
         res = oracle.max_delta_probability("ehc", probe)
         bound = 2.0 ** (toy.output_words * (toy.max_det_valuation - 4))
         ok &= res.probability <= bound

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from halftimehash.analysis import (
     verify_min_distance,
 )
 from halftimehash.nh import MultCounter
-from halftimehash.params import VARIANTS, ErasureCode, TransformMatrix
+from halftimehash.params import VARIANTS, ErasureCode, TransformMatrix, _cauchy_code
 
 from halftimehash import ehc, gf16
 import reference
@@ -176,6 +177,15 @@ def test_verify_min_distance_preconditions():
     wide = ErasureCode(8, 2, ((1,) * 8,))
     with pytest.raises(ValueError):
         verify_min_distance(wide)  # 8 inputs > the 7-input enumeration cap
+
+
+def test_verify_min_distance_refuses_grids_past_memory():
+    # Seven inputs pass the arity cap, but with 8 parities (distance 9) the
+    # search would reach support size 7: 15^7 grid rows, about 19 GB.
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        verify_min_distance(_cauchy_code(7, 8))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_entropy_report_pinned_formula_case():

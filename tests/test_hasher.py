@@ -20,7 +20,7 @@ from halftimehash.hasher import (
     seed_words_needed,
     words_from_bytes,
 )
-from halftimehash.nh import MultCounter, nh_blockwise, nh_full, words_to_halves
+from halftimehash.nh import MultCounter, nh_blockwise, nh_full
 from halftimehash.params import MASK64, VARIANTS, TransformMatrix, horner_plan, horner_schedule
 
 import reference
@@ -519,10 +519,6 @@ def test_lanes_match_scalar_with_zero_coefficient_rows():
     )
 
 
-def _nh_ref(words, seeds) -> int:
-    return nh_full(words_to_halves(words, 32), words_to_halves(seeds, 32))
-
-
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), n=st.integers(1, 40))
 def test_nh_kernels_match_nh_full(data, n):
@@ -530,14 +526,14 @@ def test_nh_kernels_match_nh_full(data, n):
     seeds = _draw_words(data, (n,))
     got = hasher._nh_words_np(words, seeds)
     for row, value in zip(words.tolist(), got.tolist()):
-        assert value == _nh_ref(row, seeds.tolist())
+        assert value == nh_full(row, seeds.tolist())
     # the leaf's kernel: NH over axis -2, lanes on the last axis, in place
     lanes = _draw_words(data, (2, n, 8))
     lane_seeds = _draw_words(data, (n, 8))
     got = hasher._leaf_nh_np(lanes.copy(), lane_seeds)
     for i in range(2):
         for j in range(8):
-            assert got[i, j] == _nh_ref(lanes[i, :, j].tolist(), lane_seeds[:, j].tolist())
+            assert got[i, j] == nh_full(lanes[i, :, j].tolist(), lane_seeds[:, j].tolist())
     # a tree node, keyed with f - 1 words repeated over the lanes
     f = 8
     blocks = _draw_words(data, (2, f, 8))
@@ -553,7 +549,6 @@ def test_nh_kernel_wraps_both_halves():
     ones = np.full((1, 4), MASK64, dtype=np.uint64)
     # every half is (2^32 - 1) + (2^32 - 1) = 2^32 - 2 mod 2^32
     want = 4 * (2**32 - 2) ** 2 % 2**64
-    assert want == _nh_ref([MASK64] * 4, [MASK64] * 4)
     assert hasher._nh_words_np(ones, ones[0]).tolist() == [want]
 
 
@@ -703,7 +698,7 @@ def test_hash_remainder_single_component_is_nh_full():
     tail = [rnd.getrandbits(64) for _ in range(7)]
     keys = [rnd.getrandbits(64) for _ in range(7)]
     out = hash_remainder(tail, keys, k=1)
-    assert out == (nh_full(words_to_halves(tail, 32), words_to_halves(keys, 32)),)
+    assert out == (nh_full(tail, keys),)
 
 
 def test_toeplitz_windows_overlap():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from halftimehash import ehc, oracle
-from halftimehash.cli import _toy_ehc_probe
 from halftimehash.oracle import DeltaProbe, max_delta_probability, tree_collision_estimate
 
 import reference
@@ -57,7 +56,7 @@ def test_unknown_stage_rejected():
 
 
 def test_ehc_toy_meets_scaled_adu_bound():
-    toy, probe = _toy_ehc_probe()
+    toy, probe = oracle.toy_ehc_probe()
     res = max_delta_probability("ehc", probe)
     bound = 2.0 ** (toy.output_words * (toy.max_det_valuation - 4))
     assert res.seeds_probed == 2**16
@@ -72,14 +71,14 @@ def test_ehc_probe_runs_the_reference_leaf_stage(monkeypatch):
     monkeypatch.setattr(
         ehc, "compress_instance", lambda items, ent, params, h: [(0,), (0,)]
     )
-    toy, probe = _toy_ehc_probe()
+    toy, probe = oracle.toy_ehc_probe()
     res = max_delta_probability("ehc", probe)
     assert res.probability > 2.0 ** (toy.output_words * (toy.max_det_valuation - 4))
 
 
 def test_ehc_toy_with_even_determinants():
     # the (1,1,0),(1,3,2) matrix has p=1; the scaled bound doubles per output
-    toy, probe = _toy_ehc_probe(((1, 1, 0), (1, 3, 2)))
+    toy, probe = oracle.toy_ehc_probe(((1, 1, 0), (1, 3, 2)))
     assert toy.max_det_valuation == 1
     res = max_delta_probability("ehc", probe)
     assert res.probability <= 2.0 ** (2 * (1 - 4))
