@@ -214,8 +214,7 @@ def entropy_report(params: HashParams, n_bytes: int) -> EntropyReport:
     p = params.max_det_valuation
     layout = seed_layout(params, n_bytes)
     n_inst = layout.instances
-    # One instance and none both leave a tree of height 0.
-    h = tree.tree_height(max(n_inst, 1), f)
+    h = tree.tree_height(n_inst, f)
     h_floor = max(layout.levels - 1, 0)
 
     epsilon_scale = (1 << (k * p)) + h**k + 1

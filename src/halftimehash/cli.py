@@ -1,7 +1,8 @@
 """Command-line front end: hashing, analysis reports, property verification,
 golden vectors, and a report-only throughput benchmark.
 
-Exit codes: 0 success, 1 property/check failure, 2 usage or IO error.
+Exit codes: 0 success, 1 property/check failure, 2 usage or IO error, or
+an input too large for memory.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ def parse_size(text: str) -> int:
     return value * mult
 
 
-def fill_bytes(n: int, fill_seed: int = FILL_SEED) -> bytes:
-    """Deterministic splitmix-filled input, generated in memory."""
+def fill_bytes(n: int) -> bytes:
+    """Deterministic splitmix-filled input under ``FILL_SEED``, in memory."""
     if n == 0:
         return b""
-    words = _stream_words_np(fill_seed, 0, (n + 7) // 8)
+    words = _stream_words_np(FILL_SEED, 0, (n + 7) // 8)
     return words.astype("<u8").tobytes()[:n]
 
 
@@ -77,7 +78,7 @@ def _master_from_args(args) -> bytes:
         return raw
     if args.seed_file is not None:
         with open(args.seed_file, "rb") as fh:
-            raw = fh.read()
+            raw = fh.read(33)  # bounded: /dev/zero or a pipe may never end
         if len(raw) != 32:
             raise ValueError("seed file must hold exactly 32 bytes")
         return raw
@@ -273,7 +274,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -134,7 +134,7 @@ def seed_layout(params: HashParams, n_bytes: int) -> SeedLayout:
     k, b, f, m = params.output_words, params.block_words, params.fanout, params.instance_words
     n_words = (n_bytes + 7) // 8
     instances = n_words // m
-    levels = tree_mod.level_count(instances, f) if instances else 0
+    levels = tree_mod.level_count(instances, f)
     h = max(levels, 1)
     tree_start = params.entropy_words
     fin_start = tree_start + (f - 1) * h * k
@@ -259,14 +259,11 @@ def _hash_scalar(
 
     out_words = []
     for r in range(k):
-        if n_inst:
-            level_seeds = seed.words_np(
-                layout.tree_start + r * layout.tree_words_per_tree,
-                layout.tree_words_per_tree,
-            ).tolist()
-            levels = tree_mod.tree_reduce(tree_blocks[r], level_seeds, f, 32, counter)
-        else:
-            levels = []
+        level_seeds = seed.words_np(
+            layout.tree_start + r * layout.tree_words_per_tree,
+            layout.tree_words_per_tree,
+        ).tolist()
+        levels = tree_mod.tree_reduce(tree_blocks[r], level_seeds, f, 32, counter)
         fin_seed = seed.words_np(
             layout.finalize_start + r * layout.finalize_words_per_tree,
             layout.finalize_words_per_tree,
@@ -469,7 +466,7 @@ def _hash_words_np(
     ``_RUN_WORDS`` words across the batch.  Each run is encoded, hashed
     and combined while it is in cache, and its k trees are then reduced
     together.  Between runs every tree level keeps its fewer than f
-    unmerged blocks, the stack of ``tree.tree_reduce``, so the memory
+    unmerged blocks, the leftovers of ``tree.tree_reduce``, so the memory
     beyond the input is bounded by the run size.
     """
     k, b, f = params.output_words, params.block_words, params.fanout

@@ -180,8 +180,6 @@ class TreeCollisionResult:
 
 
 def _wilson_upper(successes: int, trials: int, z: float = 2.576) -> float:
-    if trials == 0:
-        return 1.0
     phat = successes / trials
     denom = 1 + z * z / trials
     center = phat + z * z / (2 * trials)
@@ -195,7 +193,6 @@ def tree_collision_estimate(
     height: int,
     k: int,
     trials: int,
-    rng: np.random.Generator | None = None,
 ) -> TreeCollisionResult:
     """Estimate the k-tree reduce-stage collision rate for random inputs.
 
@@ -207,7 +204,9 @@ def tree_collision_estimate(
     """
     if half_bits > 8:
         raise ValueError("collision simulation is for reduced widths")
-    rng = rng or np.random.default_rng(0xC0111)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    rng = np.random.default_rng(0xC0111)
     n_blocks = fanout**height
     full = 1 << (2 * half_bits)
     seeds_per_tree = (fanout - 1) * max(height, 1)

@@ -1,12 +1,12 @@
 """Carter-Wegman tree hashing over blocks with NH nodes.
 
-``tree_reduce`` streams N blocks through the stack construction: every
-time ``fanout`` blocks accumulate at a level they are merged by one
-``nh_blockwise`` node into the next level, so after the stream ends level
-``i`` holds exactly ``digit_i(N base fanout)`` leftover roots, each the
-hash of ``fanout**i`` consecutive input blocks.  ``tree_finalize`` then
-folds the leftovers and the input length into a single word with one NH
-application.
+``tree_reduce`` reduces N blocks level by level: each level keeps its last
+``len % fanout`` blocks as leftovers and merges every group of ``fanout``
+blocks before them with one ``nh_blockwise`` node into the next level.  So
+level ``i`` keeps exactly ``digit_i(N base fanout)`` leftover roots, each
+the hash of ``fanout**i`` consecutive input blocks, and zero blocks leave
+zero levels.  ``tree_finalize`` then folds the leftovers and the input
+length into a single word with one NH application.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ LevelStack = list[list[Block]]
 
 
 def tree_height(n_blocks: int, fanout: int) -> int:
-    """Ceiling log_fanout: the tree height used by the analysis formulas."""
-    if n_blocks < 1:
-        raise ValueError("tree_height needs at least one block")
+    """Ceiling log_fanout, 0 for no blocks: the analysis formulas' height."""
+    if n_blocks < 0:
+        raise ValueError("tree_height needs a nonnegative block count")
     h = 0
     span = 1
     while span < n_blocks:
@@ -32,11 +32,12 @@ def tree_height(n_blocks: int, fanout: int) -> int:
 
 
 def level_count(n_blocks: int, fanout: int) -> int:
-    """Number of leftover levels the stack construction produces."""
-    if n_blocks < 1:
-        raise ValueError("level_count needs at least one block")
-    levels = 1
-    while n_blocks >= fanout:
+    """Number of leftover levels ``tree_reduce`` produces: the base-fanout
+    digits of ``n_blocks``, so 0 for zero blocks."""
+    if n_blocks < 0:
+        raise ValueError("level_count needs a nonnegative block count")
+    levels = 0
+    while n_blocks:
         n_blocks //= fanout
         levels += 1
     return levels
@@ -67,36 +68,24 @@ def tree_reduce(
     half_bits: int = 32,
     counter: MultCounter | None = None,
 ) -> LevelStack:
-    """Reduce a stream of blocks to per-level leftovers.
+    """Reduce blocks to per-level leftovers, one level at a time.
 
-    Seeds are consumed per level only: the merge producing a level-(i+1)
-    block uses words ``level_seeds[i*(f-1), (i+1)*(f-1))`` no matter where
-    in the stream it happens.
+    Seeds are consumed per level only: the merges producing level-(i+1)
+    blocks use words ``level_seeds[i*(f-1), (i+1)*(f-1))``, read only if
+    level i merges.
     """
+    blocks = [tuple(block) for block in blocks]
     levels: LevelStack = []
-    seen = 0
-    for block in blocks:
-        seen += 1
-        carry = tuple(block)
-        lvl = 0
-        while True:
-            if lvl == len(levels):
-                levels.append([])
-            levels[lvl].append(carry)
-            if len(levels[lvl]) < fanout:
-                break
-            carry = nh_blockwise(
-                levels[lvl],
-                _level_seed(level_seeds, lvl, fanout),
-                fanout,
-                half_bits,
-                counter,
-                "tree",
-            )
-            levels[lvl] = []
-            lvl += 1
-    if seen == 0:
-        raise ValueError("tree_reduce needs at least one block")
+    while blocks:
+        cut = len(blocks) - len(blocks) % fanout
+        levels.append(blocks[cut:])
+        if not cut:
+            break
+        seed = _level_seed(level_seeds, len(levels) - 1, fanout)
+        blocks = [
+            nh_blockwise(blocks[i : i + fanout], seed, fanout, half_bits, counter, "tree")
+            for i in range(0, cut, fanout)
+        ]
     return levels
 
 

@@ -7,6 +7,12 @@ obviousness over speed, and deliberately shares no code with the package.
 from __future__ import annotations
 
 
+def halves(words, half_bits):
+    """The half-word sequence of ``words``, low half first."""
+    mask = (1 << half_bits) - 1
+    return [v for word in words for v in (word & mask, word >> half_bits & mask)]
+
+
 def nh_direct(data, seed, half_bits):
     """Sum of (d2i + s2i)(d2i+1 + s2i+1): inner adds mod 2^half, rest mod 2^full."""
     half = 1 << half_bits
@@ -56,29 +62,43 @@ def det_cofactor(rows):
     return total
 
 
-def carter_wegman_tree(blocks, level_seeds, level, node, half_bits):
-    """Eq.-1-style full binary tree over exactly 2**level blocks."""
+def carter_wegman_tree(blocks, level_seeds, level, node, half_bits, fanout):
+    """Eq.-1-style full fanout-ary tree over exactly fanout**level blocks;
+    the nodes at height j are keyed by seed words [(j-1)(f-1), j(f-1))."""
     if level == 0:
         return blocks[0]
-    half = 1 << (level - 1)
-    left = carter_wegman_tree(blocks[:half], level_seeds, level - 1, node, half_bits)
-    right = carter_wegman_tree(blocks[half:], level_seeds, level - 1, node, half_bits)
-    return node([left, right], level_seeds[level - 1 : level], half_bits)
+    span = fanout ** (level - 1)
+    children = [
+        carter_wegman_tree(
+            blocks[j * span : (j + 1) * span], level_seeds, level - 1, node, half_bits, fanout
+        )
+        for j in range(fanout)
+    ]
+    keys = level_seeds[(level - 1) * (fanout - 1) : level * (fanout - 1)]
+    return node(children, keys, half_bits)
 
 
-def binary_stack(blocks, level_seeds, node, half_bits):
-    """Front-aligned binary decomposition: slot j holds the full-subtree hash
-    for bit j of len(blocks), scanning from the most significant bit."""
+def fary_stack(blocks, level_seeds, node, half_bits, fanout):
+    """Front-aligned base-fanout decomposition: level i holds digit i of
+    len(blocks) full-subtree hashes of fanout**i blocks each, the subtrees
+    laid out from the most significant digit down.  No blocks, no levels."""
     n = len(blocks)
-    slots = {}
+    digits = []
+    while n:
+        digits.append(n % fanout)
+        n //= fanout
+    levels = [[] for _ in digits]
     pos = 0
-    for level in range(n.bit_length() - 1, -1, -1):
-        if n >> level & 1:
-            slots[level] = carter_wegman_tree(
-                blocks[pos : pos + (1 << level)], level_seeds, level, node, half_bits
+    for level in range(len(digits) - 1, -1, -1):
+        span = fanout**level
+        for _ in range(digits[level]):
+            levels[level].append(
+                carter_wegman_tree(
+                    blocks[pos : pos + span], level_seeds, level, node, half_bits, fanout
+                )
             )
-            pos += 1 << level
-    return slots
+            pos += span
+    return levels
 
 
 def splitmix_stream(fold, count):

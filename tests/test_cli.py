@@ -1,6 +1,7 @@
 import argparse
 import io
 import mmap
+import os
 
 import pytest
 
@@ -112,6 +113,40 @@ def test_hash_seed_hex_and_file_together_exit_2(capsys, tmp_path):
         main(["hash", "--seed-hex", "00" * 32, "--seed-file", str(seed_path), str(data_path)])
     assert exc.value.code == 2
     assert "not allowed with" in capsys.readouterr().err
+
+
+class _EndlessZeros(io.RawIOBase):
+    """A file that never ends: a sized read returns that many zero bytes,
+    and a read to the end raises instead of running forever."""
+
+    def read(self, size=-1):
+        if size is None or size < 0:
+            raise AssertionError("an endless file was read to its end")
+        return b"\0" * size
+
+
+def test_hash_seed_file_without_end_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr("halftimehash.cli.open", lambda *a, **k: _EndlessZeros(), raising=False)
+    monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": io.BytesIO(b"")})())
+    code, out, err = run(capsys, "hash", "--seed-file", "endless", "-")
+    assert code == 2
+    assert "seed file must hold exactly 32 bytes" in err
+    assert out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_hash_seed_file_dev_zero_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": io.BytesIO(b"")})())
+    code, _, err = run(capsys, "hash", "--seed-file", "/dev/zero", "-")
+    assert code == 2
+    assert "seed file must hold exactly 32 bytes" in err
+
+
+def test_bench_size_past_memory_exit_2(capsys):
+    # numpy refuses the 1 EiB fill at once, before allocating anything.
+    code, out, err = run(capsys, "bench", "--sizes", "1E", "--reps", "1")
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_hash_bad_variant_exit_2():

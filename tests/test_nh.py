@@ -9,12 +9,6 @@ from halftimehash.params import MASK64
 import reference
 
 
-def _halves(words, half_bits):
-    """The half-word sequence of ``words``, low half first."""
-    mask = (1 << half_bits) - 1
-    return [v for word in words for v in (word & mask, word >> half_bits & mask)]
-
-
 def test_nh_full_zero_input_reduces_to_seed_product():
     assert nh_full([0], [11 | 13 << 8], half_bits=8) == (11 * 13) % 256
     assert nh_full([0], [3 | 5 << 32], half_bits=32) == 15
@@ -38,7 +32,7 @@ def test_nh_full_matches_direct_formula(half_bits):
         data = [rnd.getrandbits(2 * half_bits) for _ in range(n)]
         seed = [rnd.getrandbits(2 * half_bits) for _ in range(n)]
         assert nh_full(data, seed, half_bits) == reference.nh_direct(
-            _halves(data, half_bits), _halves(seed, half_bits), half_bits
+            reference.halves(data, half_bits), reference.halves(seed, half_bits), half_bits
         )
 
 
@@ -77,7 +71,7 @@ def test_nh_tree_node_matches_direct_formula(half_bits):
         data = [rnd.getrandbits(2 * half_bits) for _ in range(n)]
         seed = [rnd.getrandbits(2 * half_bits) for _ in range(n)]
         assert nh_tree_node(data, seed, half_bits) == reference.nh_tree_node_direct(
-            _halves(data, half_bits), _halves(seed, half_bits), half_bits
+            reference.halves(data, half_bits), reference.halves(seed, half_bits), half_bits
         )
 
 

@@ -110,6 +110,12 @@ def test_tree_collision_k2_h2_width4():
     assert res.status in ("consistent", "inconclusive")
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_tree_collision_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        tree_collision_estimate(4, 4, 1, 1, trials=trials)
+
+
 def test_scaled_pipeline_is_production_path():
     # the oracle drives the very same function objects the 32-bit hasher
     # uses, just at a smaller width; there is no parallel rewrite

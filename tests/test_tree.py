@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halftimehash.nh import MultCounter, nh_blockwise
 from halftimehash.tree import (
@@ -33,9 +35,24 @@ def test_full_node_at_fanout():
     assert levels[1] == [nh_blockwise(blocks, seeds, f)]
 
 
-def test_empty_stream_rejected():
-    with pytest.raises(ValueError):
-        tree_reduce([], [0] * 7, fanout=8)
+def test_empty_stream_leaves_no_levels():
+    assert tree_reduce([], [], fanout=8) == []
+    assert tree_reduce(iter([]), [0] * 7, fanout=8) == []
+
+
+def test_generator_of_blocks_is_reduced():
+    rnd = random.Random(8)
+    blocks = _random_blocks(rnd, 9, 2, 16)
+    seeds = [rnd.getrandbits(16) for _ in range(3)]
+    assert tree_reduce(iter(blocks), seeds, 2, half_bits=8) == tree_reduce(
+        blocks, seeds, 2, half_bits=8
+    )
+
+
+def test_missing_level_seed_raises():
+    blocks = [(1,)] * 4
+    with pytest.raises(ValueError, match="no seed words for tree level 2"):
+        tree_reduce(blocks, [5], fanout=2, half_bits=8)
 
 
 def test_binary_n5_slot_pattern():
@@ -47,23 +64,45 @@ def test_binary_n5_slot_pattern():
     assert [len(lvl) for lvl in levels] == [1, 0, 1]
 
 
+def _direct_node(children, keys, half_bits):
+    """An NH tree node from the reference formula, lane by lane on each
+    word's split halves."""
+    key_halves = reference.halves(keys, half_bits)
+    return tuple(
+        reference.nh_tree_node_direct(reference.halves(lane, half_bits), key_halves, half_bits)
+        for lane in zip(*children)
+    )
+
+
 @pytest.mark.parametrize("n", range(1, 41))
 def test_binary_stack_matches_recursive_oracle(n):
     rnd = random.Random(100 + n)
     blocks = _random_blocks(rnd, n, 2, 16)
     seeds = [rnd.getrandbits(16) for _ in range(8)]
     levels = tree_reduce(blocks, seeds, 2, half_bits=8)
-    expected = reference.binary_stack(blocks, seeds, nh_blockwise_oracle, 8)
+    assert levels == reference.fary_stack(blocks, seeds, _direct_node, 8, 2)
     assert len(levels) == level_count(n, 2)
-    for lvl, leftovers in enumerate(levels):
-        if n >> lvl & 1:
-            assert leftovers == [expected[lvl]]
-        else:
-            assert leftovers == []
 
 
-def nh_blockwise_oracle(blocks, seeds, half_bits):
-    return nh_blockwise(blocks, seeds, 2, half_bits)
+def _block_counts(f):
+    """0..3f blocks, and one either side of f, f^2 and f^3."""
+    near_powers = {f**j + e for j in range(4) for e in (-1, 0, 1)}
+    return sorted(set(range(3 * f + 1)) | near_powers)
+
+
+@pytest.mark.parametrize("f", [2, 3, 4, 8])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tree_reduce_matches_fary_oracle(f, data):
+    # Whole stacks, values included, against an f-ary tree written from
+    # the definition with an independently computed node.
+    n = data.draw(st.sampled_from(_block_counts(f)), label="n")
+    b = data.draw(st.integers(1, 3), label="lanes")
+    rnd = random.Random(data.draw(st.integers(0, 2**32), label="rng"))
+    blocks = _random_blocks(rnd, n, b, 16)
+    seeds = [rnd.getrandbits(16) for _ in range((f - 1) * max(level_count(n, f) - 1, 0))]
+    levels = tree_reduce(blocks, seeds, f, half_bits=8)
+    assert levels == reference.fary_stack(blocks, seeds, _direct_node, 8, f)
 
 
 def test_fary_leftovers_match_digits():
@@ -120,16 +159,20 @@ def test_tree_height_examples():
     assert tree_height(512, 8) == 3
     assert tree_height(513, 8) == 4
     assert tree_height(8, 8) == 1
+    assert tree_height(0, 8) == 0
     with pytest.raises(ValueError):
-        tree_height(0, 8)
+        tree_height(-1, 8)
 
 
 def test_level_count_examples():
+    assert level_count(0, 8) == 0
     assert level_count(1, 8) == 1
     assert level_count(7, 8) == 1
     assert level_count(8, 8) == 2
     assert level_count(512, 8) == 4
     assert level_count(780, 8) == 4
+    with pytest.raises(ValueError):
+        level_count(-1, 8)
 
 
 def test_finalize_zero_everything_is_zero():
