@@ -45,6 +45,8 @@ def level_count(n_blocks: int, fanout: int) -> int:
 
 def node_executions(n_blocks: int, fanout: int) -> int:
     """How many nh_blockwise merges reducing ``n_blocks`` performs."""
+    if n_blocks < 0:
+        raise ValueError("node_executions needs a nonnegative block count")
     total = 0
     n = n_blocks // fanout
     while n:

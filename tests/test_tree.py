@@ -138,6 +138,9 @@ def test_node_execution_count():
         assert node_executions(n, f) == expected
     # power of f: (N-1)/(f-1) nodes
     assert node_executions(512, 8) == 511 // 7
+    assert node_executions(0, 8) == 0
+    with pytest.raises(ValueError):
+        node_executions(-1, 8)
 
 
 def test_seeds_depend_on_level_only():
