@@ -12,12 +12,15 @@ rows, and then its combine rows, step together on one level-synchronous
 ``horner_schedule``.  The leaf NH works inside the encoded run, and each
 run's arrays are freed before the next run is read.  Between runs each
 tree level keeps fewer than f blocks, so the memory it needs beyond the
-input is bounded by the run size, however long the input.  Both accept
-any C-contiguous bytes-like input.  A digest is a function of (input bytes,
-master seed, variant) only; seed buffers may be expanded for any sufficient
-capacity without changing results.  ``expand_seed`` computes all the words
-once and keeps them, ``8 * capacity`` bytes, in one read-only array that
-every hash call slices.
+input is bounded by the run size, however long the input.  The finalize
+and the tail then share one NH pass: tree r's row holds its finalize words
+and the tail words, keyed with its finalize key and window r of the
+Toeplitz tail key, so the k digest words come from one NH.  Both engines
+accept any C-contiguous bytes-like input.  A digest is a function of
+(input bytes, master seed, variant) only; seed buffers may be expanded for
+any sufficient capacity without changing results.  ``expand_seed``
+computes all the words once and keeps them, ``8 * capacity`` bytes, in one
+read-only array that every hash call slices.
 
 Parameter sets and seed buffers are immutable, so one (params, seed) pair
 can be shared across threads; every hash call owns its transient state.
@@ -308,11 +311,16 @@ def _nh_halves(words: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.nda
     return lo, s
 
 
-def _nh_words_np(words: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """nh_full over the last axis; halves are the 32-bit word halves."""
-    lo, hi = _nh_halves(words, seeds)
-    lo *= hi
-    return lo.sum(axis=-1)
+def _nh_keyed_np(keyed: np.ndarray) -> np.ndarray:
+    """nh_full over the last axis of words whose key is already added into
+    their 32-bit halves, each half wrapping on its own.  Consumes ``keyed``:
+    its high halves are shifted down in place.
+    """
+    lo = keyed & np.uint64(_HALF)
+    keyed >>= np.uint64(32)
+    # matmul of (1, n) by (n, 1) sums the products without storing them,
+    # and carries the least fixed overhead of numpy's reductions.
+    return np.matmul(lo[..., None, :], keyed[..., :, None])[..., 0, 0]
 
 
 def _leaf_nh_np(enc: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -447,6 +455,45 @@ def _hash_run(
         blocks = _nh_node_np(groups, node_keys[i])
 
 
+def _hash_instances(
+    words: np.ndarray, last: np.ndarray, seed_region, params: HashParams, layout: SeedLayout
+) -> list:
+    """Take the batch's whole instances through the leaf stage and the k
+    trees; returns each tree level's (B, k, <f, b) unmerged blocks.
+
+    The instances go through the leaf stage in runs of about
+    ``_RUN_WORDS`` words across the batch.  Each run is encoded, hashed
+    and combined while it is in cache, and its k trees are then reduced
+    together.  Between runs every tree level keeps its fewer than f
+    unmerged blocks, the leftovers of ``tree.tree_reduce``, so the memory
+    beyond the input is bounded by the run size.  The keys and the last
+    run are locals here, so they are freed before the final NH.
+    """
+    k, b, f = params.output_words, params.block_words, params.fanout
+    w, d, m = params.item_blocks, params.instance_items, params.instance_words
+    batch = words.shape[0]
+    n_inst, levels = layout.instances, layout.levels
+    pending = [np.empty((batch, k, 0, b), dtype=np.uint64)] * levels
+    if not n_inst:
+        return pending
+    ent = seed_region(layout.ehc_start, layout.ehc_words)
+    # Key word (item, block), repeated over the b lanes: it then has the
+    # memory layout of an encoded item, and the NH adds whole items.
+    ent = ent.reshape(ent.shape[:-1] + (params.encoded_items, 1, w, 1))
+    ent = np.repeat(ent, b, axis=-1)
+    node_keys = []
+    if levels > 1:
+        tree = seed_region(layout.tree_start, k * layout.tree_words_per_tree)
+        tree = tree.reshape(tree.shape[:-1] + (k, 1, levels, f - 1, 1))
+        node_keys = [np.repeat(tree[..., i, :, :], b, axis=-1) for i in range(levels - 1)]
+    run = max(1, _RUN_WORDS // (batch * m))
+    for t in range(0, n_inst, run):
+        u = min(t + run, n_inst)
+        inst = _word_range(words, last, t * m, u * m).reshape(batch, u - t, d, w, b)
+        _hash_run(inst, ent, node_keys, pending, params)
+    return pending
+
+
 def _hash_words_np(
     words: np.ndarray,
     n_bytes: int,
@@ -462,58 +509,49 @@ def _hash_words_np(
     ``last`` (B, 0 or 1) holds the zero-padded final partial word when
     ``words`` holds only the whole words of the input.
 
-    The instances go through the leaf stage in runs of about
-    ``_RUN_WORDS`` words across the batch.  Each run is encoded, hashed
-    and combined while it is in cache, and its k trees are then reduced
-    together.  Between runs every tree level keeps its fewer than f
-    unmerged blocks, the leftovers of ``tree.tree_reduce``, so the memory
-    beyond the input is bounded by the run size.
+    After ``_hash_instances``, the finalize and the tail share one NH pass.
+    Tree r's row holds its finalize words (f - 1 block slots per level,
+    zero where a block is absent, then the length tag) and after them the
+    tail words.  The row is keyed with tree r's finalize key and then with
+    window r of the Toeplitz tail key, so one NH over the k rows gives the
+    digest words: the finalize NH plus the tail NH of each tree.
     """
-    k, b, f = params.output_words, params.block_words, params.fanout
-    w, d, m = params.item_blocks, params.instance_items, params.instance_words
+    k, b, f, m = params.output_words, params.block_words, params.fanout, params.instance_words
     batch = words.shape[0]
     if last is None:
         last = np.empty((batch, 0), dtype=np.uint64)
-    n_inst, levels = layout.instances, layout.levels
-    # pending[i]: the (B, k, <f, b) blocks of tree level i not yet merged.
-    pending = [np.empty((batch, k, 0, b), dtype=np.uint64)] * levels
-    if n_inst:
-        ent = seed_region(layout.ehc_start, layout.ehc_words)
-        # Key word (item, block), repeated over the b lanes: it then has the
-        # memory layout of an encoded item, and the NH adds whole items.
-        ent = ent.reshape(ent.shape[:-1] + (params.encoded_items, 1, w, 1))
-        ent = np.repeat(ent, b, axis=-1)
-        node_keys = []
-        if levels > 1:
-            tree = seed_region(layout.tree_start, k * layout.tree_words_per_tree)
-            tree = tree.reshape(tree.shape[:-1] + (k, 1, levels, f - 1, 1))
-            node_keys = [np.repeat(tree[..., i, :, :], b, axis=-1) for i in range(levels - 1)]
-        run = max(1, _RUN_WORDS // (batch * m))
-        for t in range(0, n_inst, run):
-            u = min(t + run, n_inst)
-            inst = _word_range(words, last, t * m, u * m).reshape(batch, u - t, d, w, b)
-            _hash_run(inst, ent, node_keys, pending, params)
+    pending = _hash_instances(words, last, seed_region, params, layout)
 
-    # One finalize row per tree: each level fills f - 1 block slots, absent
-    # blocks are zero, the length tag comes last, and tree r's key starts
-    # its finalize region.
-    flat = np.zeros((batch, k, layout.finalize_words), dtype=np.uint64)
+    n_fin, n_tail = layout.finalize_words, layout.tail_words
+    row = np.zeros((batch, k, n_fin + n_tail), dtype=np.uint64)
     for i, blocks in enumerate(pending):
         lo = i * (f - 1) * b
-        flat[:, :, lo : lo + blocks.shape[2] * b] = blocks.reshape(batch, k, -1)
-    flat[:, :, -1] = n_bytes & MASK64
+        row[:, :, lo : lo + blocks.shape[2] * b] = blocks.reshape(batch, k, -1)
+    # The leftovers can be views of a whole combined run: free them before
+    # the NH allocates its second array of the row's size.
+    pending = blocks = None
+    row[:, :, n_fin - 1] = n_bytes & MASK64
+    # The tail's whole words, then the partial word.  When the last
+    # instance reads the partial word, the tail starts past ``words``.
+    start = layout.instances * m
+    whole = max(words.shape[1] - start, 0)
+    row[:, :, n_fin : n_fin + whole] = words[:, None, start:]
+    row[:, :, n_fin + whole :] = last[:, None, : n_tail - whole]
+
+    # Keys go on the 32-bit views, so that each half wraps on its own: tree
+    # r's finalize key on its finalize words, and window r of the Toeplitz
+    # tail key on its tail words.
+    halves = row.view(np.uint32)
     per = layout.finalize_words_per_tree
     fin_seed = seed_region(layout.finalize_start, k * per)
-    fin_seed = fin_seed.reshape(fin_seed.shape[:-1] + (k, per))[..., : layout.finalize_words]
-    out = _nh_words_np(flat, fin_seed)
-
-    n_tail = layout.tail_words
-    if n_tail:
-        tail = _word_range(words, last, n_inst * m, n_inst * m + n_tail)
-        rem = seed_region(layout.remainder_start, n_tail + k - 1)
-        for r in range(k):
-            out[:, r] += _nh_words_np(tail, rem[..., r : r + n_tail])
-    return out
+    fin_seed = fin_seed.reshape(fin_seed.shape[:-1] + (k, per))[..., :n_fin]
+    fin = halves[..., : 2 * n_fin]
+    np.add(fin, fin_seed.view(np.uint32), out=fin)
+    rem = seed_region(layout.remainder_start, n_tail + k - 1).view(np.uint32)
+    for r in range(k):
+        tail = halves[:, r, 2 * n_fin :]
+        np.add(tail, rem[..., 2 * r : 2 * (r + n_tail)], out=tail)
+    return _nh_keyed_np(row)
 
 
 def _words_np_from_bytes(data: memoryview) -> np.ndarray:

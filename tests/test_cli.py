@@ -147,6 +147,7 @@ def test_bench_size_past_memory_exit_2(capsys):
     code, out, err = run(capsys, "bench", "--sizes", "1E", "--reps", "1")
     assert code == 2
     assert err.startswith("error: ")
+    assert out == ""
 
 
 def test_hash_bad_variant_exit_2():

@@ -519,14 +519,22 @@ def test_lanes_match_scalar_with_zero_coefficient_rows():
     )
 
 
+def _keyed(words: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """``words`` with ``seeds`` added half by half, as the lanes engine keys
+    its final NH rows."""
+    return np.add(words.view(np.uint32), seeds.view(np.uint32)).view(np.uint64)
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), n=st.integers(1, 40))
 def test_nh_kernels_match_nh_full(data, n):
-    words = _draw_words(data, (2, n))
-    seeds = _draw_words(data, (n,))
-    got = hasher._nh_words_np(words, seeds)
-    for row, value in zip(words.tolist(), got.tolist()):
-        assert value == nh_full(row, seeds.tolist())
+    # the final NH's kernel, over the last axis of (B, k, n) keyed rows
+    words = _draw_words(data, (2, 3, n))
+    seeds = _draw_words(data, (3, n))
+    got = hasher._nh_keyed_np(_keyed(words, seeds))
+    for i in range(2):
+        for r in range(3):
+            assert got[i, r] == nh_full(words[i, r].tolist(), seeds[r].tolist())
     # the leaf's kernel: NH over axis -2, lanes on the last axis, in place
     lanes = _draw_words(data, (2, n, 8))
     lane_seeds = _draw_words(data, (n, 8))
@@ -549,7 +557,7 @@ def test_nh_kernel_wraps_both_halves():
     ones = np.full((1, 4), MASK64, dtype=np.uint64)
     # every half is (2^32 - 1) + (2^32 - 1) = 2^32 - 2 mod 2^32
     want = 4 * (2**32 - 2) ** 2 % 2**64
-    assert hasher._nh_words_np(ones, ones[0]).tolist() == [want]
+    assert hasher._nh_keyed_np(_keyed(ones, ones[0])).tolist() == [want]
 
 
 def _instance_counts(run: int, fanout: int) -> list[int]:
@@ -623,6 +631,35 @@ def test_batch_under_own_seeds_matches_scalar_at_any_length(width, data):
     )
     got = hasher._hash_words_np(words, n, region, p, seed_layout(p, n))
     assert [tuple(int(v) for v in row) for row in got] == want
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_final_nh_row_matches_scalar_at_every_tail(width, data):
+    # The finalize words and the tail share one NH row per tree: 0-2
+    # instances, then every tail of whole words and trailing bytes.  With
+    # m - 1 whole words and some trailing bytes, the partial word completes
+    # one more instance and the tail is empty.
+    p = hh.variant(width)
+    m = p.instance_words
+    n_inst = data.draw(st.integers(0, 2))
+    n = 8 * (n_inst * m + data.draw(st.integers(0, m - 1))) + data.draw(st.integers(0, 7))
+    rnd = random.Random(data.draw(st.integers(0, 2**32)))
+    inputs = [rnd.randbytes(n), rnd.randbytes(n)]
+    masters = [rnd.randbytes(32), rnd.randbytes(32)]
+    seeds = [hh.seed_for_input(mst, p, n) for mst in masters]
+    want = [hh.hash_bytes(x, s, p, engine="scalar") for x, s in zip(inputs, seeds)]
+    assert hh.hash_bytes(inputs[0], seeds[0], p) == want[0]
+    # a batch of two, each under its own seed, its partial words apart
+    views = [memoryview(x) for x in inputs]
+    words = np.concatenate([hasher._words_np_from_bytes(v)[None, :] for v in views])
+    last = np.concatenate([hasher._last_word_np(v) for v in views])
+    region = _batched_seed_region(
+        np.stack([np.frombuffer(mst, dtype="<u8") for mst in masters]).astype(np.uint64)
+    )
+    got = hasher._hash_words_np(words, n, region, p, seed_layout(p, n), last)
+    assert [tuple(int(v) for v in row) for row in got] == [d.words for d in want]
 
 
 def _traced_peak(data, seed, p) -> int:
