@@ -538,9 +538,7 @@ def _hash_words_np(
     row[:, :, n_fin : n_fin + whole] = words[:, None, start:]
     row[:, :, n_fin + whole :] = last[:, None, : n_tail - whole]
 
-    # Keys go on the 32-bit views, so that each half wraps on its own: tree
-    # r's finalize key on its finalize words, and window r of the Toeplitz
-    # tail key on its tail words.
+    # Keys go on the 32-bit views, so that each half wraps on its own.
     halves = row.view(np.uint32)
     per = layout.finalize_words_per_tree
     fin_seed = seed_region(layout.finalize_start, k * per)
