@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import ehc, tree
-from .hasher import seed_layout, seed_words_for_levels
+from .hasher import KEY_BITS, seed_layout, seed_words_for_levels
 from .params import ErasureCode, HashParams, TransformMatrix
 
 
@@ -188,7 +188,9 @@ class EntropyReport:
     more, as at exact powers of the fanout.  The ``multiplications``
     field is the closed-form leading term; the exact structural count
     appears in ``multiplications_exact`` with the logarithmic remainder in
-    ``multiplications_log_term``.
+    ``multiplications_log_term``.  Every seed word derives from a
+    ``key_bits``-bit key, so no bound below 2^-key_bits holds for every
+    pair of inputs: ``epsilon_log2_keyed`` caps the formula's figure there.
     """
 
     output_bytes: int
@@ -196,6 +198,8 @@ class EntropyReport:
     tree_height: int
     tree_height_floor: int
     epsilon_log2: float
+    key_bits: int
+    epsilon_log2_keyed: float
     seed_words: int
     seed_bytes: int
     seed_words_paper: int
@@ -231,6 +235,8 @@ def entropy_report(params: HashParams, n_bytes: int) -> EntropyReport:
         tree_height=h,
         tree_height_floor=h_floor,
         epsilon_log2=epsilon_log2,
+        key_bits=KEY_BITS,
+        epsilon_log2_keyed=float(min(epsilon_log2, KEY_BITS)),
         seed_words=layout.total_words,
         seed_bytes=8 * layout.total_words,
         seed_words_paper=seed_words_for_levels(params, max(h, 1)),
@@ -257,6 +263,8 @@ REPORT_FIELDS = (
     "tree_height",
     "tree_height_floor",
     "epsilon_log2",
+    "key_bits",
+    "epsilon_log2_keyed",
     "seed_words",
     "seed_bytes",
     "seed_words_paper",

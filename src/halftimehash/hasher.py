@@ -39,13 +39,17 @@ from . import ehc as ehc_mod
 from . import tree as tree_mod
 from .nh import MultCounter, nh_full
 from .params import MASK64, HashParams, horner_plan
-from . import gf16
+from . import gf16, params as params_mod
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
+#: Bits of key behind every seed word: ``_master_fold`` XORs the master into one word.
+KEY_BITS = 64
 
-_HALF = 0xFFFFFFFF
+# numpy scalars made once: each call would otherwise convert them again.
+_HALF, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_LE_WORD = np.dtype("<u8")
 
 
 class SeedSizeError(ValueError):
@@ -134,13 +138,13 @@ def seed_layout(params: HashParams, n_bytes: int) -> SeedLayout:
     """How ``hash_bytes`` reads an ``n_bytes`` input, and its seed regions."""
     if n_bytes < 0:
         raise ValueError(f"input length must be nonnegative, got n_bytes={n_bytes}")
-    k, b, f, m = params.output_words, params.block_words, params.fanout, params.instance_words
+    k, e, m = params.output_words, params.entropy_words, params.instance_words
+    b, f = params.block_words, params.fanout
     n_words = (n_bytes + 7) // 8
     instances = n_words // m
     levels = tree_mod.level_count(instances, f)
     h = max(levels, 1)
-    tree_start = params.entropy_words
-    fin_start = tree_start + (f - 1) * h * k
+    fin_start = e + (f - 1) * h * k
     rem_start = fin_start + b * f * h * k
     return SeedLayout(
         instances=instances,
@@ -148,21 +152,22 @@ def seed_layout(params: HashParams, n_bytes: int) -> SeedLayout:
         levels=levels,
         finalize_words=(f - 1) * b * levels + 1,
         ehc_start=0,
-        ehc_words=params.entropy_words,
-        tree_start=tree_start,
+        ehc_words=e,
+        tree_start=e,
         tree_words_per_tree=(f - 1) * h,
         finalize_start=fin_start,
         finalize_words_per_tree=b * f * h,
         remainder_start=rem_start,
         remainder_words=m + k - 1,
-        total_words=seed_words_for_levels(params, h),
+        total_words=rem_start + m + k - 1,
     )
 
 
 def seed_words_for_levels(params: HashParams, levels: int) -> int:
-    """The seed budget of ``SeedLayout`` with ``h = levels``."""
-    k, b, f = params.output_words, params.block_words, params.fanout
-    return params.entropy_words + (f - 1 + b * f) * levels * k + params.instance_words + k - 1
+    """The seed budget of ``SeedLayout`` with ``h = max(levels, 1)``: that
+    of an input of f^(h - 1) instances, whose k trees leave h levels."""
+    n_bytes = 8 * params.instance_words * params.fanout ** (max(levels, 1) - 1)
+    return seed_layout(params, n_bytes).total_words
 
 
 def seed_words_needed(params: HashParams, n_bytes: int) -> int:
@@ -306,8 +311,8 @@ def _nh_halves(words: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.nda
     axis, of the same length.
     """
     s = np.add(words.view(np.uint32), seeds.view(np.uint32)).view(np.uint64)
-    lo = s & np.uint64(_HALF)
-    s >>= np.uint64(32)
+    lo = s & _HALF
+    s >>= _32
     return lo, s
 
 
@@ -316,8 +321,8 @@ def _nh_keyed_np(keyed: np.ndarray) -> np.ndarray:
     their 32-bit halves, each half wrapping on its own.  Consumes ``keyed``:
     its high halves are shifted down in place.
     """
-    lo = keyed & np.uint64(_HALF)
-    keyed >>= np.uint64(32)
+    lo = keyed & _HALF
+    keyed >>= _32
     # matmul of (1, n) by (n, 1) sums the products without storing them,
     # and carries the least fixed overhead of numpy's reductions.
     return np.matmul(lo[..., None, :], keyed[..., :, None])[..., 0, 0]
@@ -334,8 +339,8 @@ def _leaf_nh_np(enc: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """
     halves = enc.view(np.uint32)
     np.add(halves, keys.view(np.uint32), out=halves)
-    lo = enc & np.uint64(_HALF)
-    enc >>= np.uint64(32)
+    lo = enc & _HALF
+    enc >>= _32
     # One einsum multiplies and sums without storing the products, and
     # on a short axis that is not the last it is also the faster sum.
     return np.einsum("...ij,...ij->...j", lo, enc)
@@ -375,10 +380,10 @@ def _run_plan(levels: tuple, block: np.ndarray, rows: list, terms: list, times_x
                 if len(picked) == 1:
                     np.copyto(acc, terms[picked[0]])
                     continue
-                add(terms[picked[0]], terms[picked[1]], out=acc)
+                add(terms[picked[0]], terms[picked[1]], acc)
                 picked = picked[2:]
             for i in picked:
-                add(acc, terms[i], out=acc)
+                add(acc, terms[i], acc)
     for r in unset:
         rows[r].fill(0)
 
@@ -396,13 +401,14 @@ def _encode_np(inst: np.ndarray, params: HashParams) -> np.ndarray:
     the whole parity block, and none for XOR parity.  Equal to XORing
     ``gf16.scale(coeff, v)`` over each row.
     """
-    d = params.instance_items
-    shape = inst.shape[:-4] + (params.encoded_items, inst.shape[-4]) + inst.shape[-2:]
+    d, rows = params.instance_items, params.code.parity_rows
+    shape = inst.shape[:-4] + (d + len(rows), inst.shape[-4]) + inst.shape[-2:]
     enc = np.empty(shape, dtype=np.uint64)
-    enc[..., :d, :, :, :] = np.moveaxis(inst, -3, -4)
-    items = [enc[..., i, :, :, :] for i in range(params.encoded_items)]
-    plan = horner_plan(tuple(map(tuple, params.code.parity_rows)))
-    _run_plan(plan, enc[..., d:, :, :, :], items[d:], items[:d], gf16.xtime_inplace, np.bitwise_xor)
+    # Item axis first: its slices are the items, in any batch shape.
+    items = enc.swapaxes(0, -4)
+    np.copyto(items[:d], inst.swapaxes(-3, -4).swapaxes(0, -4))
+    block, items = items[d:], list(items)
+    _run_plan(horner_plan(rows), block, items[d:], items[:d], gf16.xtime_inplace, np.bitwise_xor)
     return enc
 
 
@@ -414,21 +420,19 @@ def _combine_np(hashed: np.ndarray, params: HashParams) -> np.ndarray:
     and no multiplier.  Equal to ``sum(c * hashed[c])`` over each row, and
     to ``ehc.combine``.
     """
-    shape = hashed.shape[:-3] + (params.output_words,) + hashed.shape[-2:]
-    out = np.empty(shape, dtype=np.uint64)
-    rows = [out[..., r, :, :] for r in range(params.output_words)]
-    cols = [hashed[..., c, :, :] for c in range(hashed.shape[-3])]
-    plan = horner_plan(tuple(map(tuple, params.matrix.entries)))
-    _run_plan(plan, out, rows, cols, _double, np.add)
+    entries = params.matrix.entries
+    out = np.empty(hashed.shape[:-3] + (len(entries),) + hashed.shape[-2:], dtype=np.uint64)
+    rows, cols = list(out.swapaxes(0, -3)), list(hashed.swapaxes(0, -3))
+    _run_plan(horner_plan(entries), out, rows, cols, _double, np.add)
     return out
 
 
-def _word_range(words: np.ndarray, last: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Words ``[lo, hi)`` of ``words`` continued by ``last``; only a range
-    that reaches into ``last`` is copied."""
+def _word_range(words: np.ndarray, last, lo: int, hi: int) -> np.ndarray:
+    """Words ``[lo, hi)`` of ``words`` continued by the partial word
+    ``last``; only a range that reaches into ``last`` is copied."""
     if hi <= words.shape[1]:
         return words[:, lo:hi]
-    return np.concatenate([words[:, lo:], last], axis=1)
+    return np.concatenate([words[:, lo:], np.full((len(words), 1), last, np.uint64)], axis=1)
 
 
 def _hash_run(
@@ -456,7 +460,7 @@ def _hash_run(
 
 
 def _hash_instances(
-    words: np.ndarray, last: np.ndarray, seed_region, params: HashParams, layout: SeedLayout
+    words: np.ndarray, last, seed_region, params: HashParams, layout: SeedLayout
 ) -> list:
     """Take the batch's whole instances through the leaf stage and the k
     trees; returns each tree level's (B, k, <f, b) unmerged blocks.
@@ -474,17 +478,14 @@ def _hash_instances(
     batch = words.shape[0]
     n_inst, levels = layout.instances, layout.levels
     pending = [np.empty((batch, k, 0, b), dtype=np.uint64)] * levels
-    if not n_inst:
-        return pending
-    ent = seed_region(layout.ehc_start, layout.ehc_words)
     # Key word (item, block), repeated over the b lanes: it then has the
     # memory layout of an encoded item, and the NH adds whole items.
-    ent = ent.reshape(ent.shape[:-1] + (params.encoded_items, 1, w, 1))
-    ent = np.repeat(ent, b, axis=-1)
+    ent = seed_region(layout.ehc_start, layout.ehc_words)
+    ent = np.repeat(ent.reshape(-1, params.encoded_items, 1, w, 1), b, axis=-1)
     node_keys = []
     if levels > 1:
         tree = seed_region(layout.tree_start, k * layout.tree_words_per_tree)
-        tree = tree.reshape(tree.shape[:-1] + (k, 1, levels, f - 1, 1))
+        tree = tree.reshape(-1, k, 1, levels, f - 1, 1)
         node_keys = [np.repeat(tree[..., i, :, :], b, axis=-1) for i in range(levels - 1)]
     run = max(1, _RUN_WORDS // (batch * m))
     for t in range(0, n_inst, run):
@@ -495,19 +496,14 @@ def _hash_instances(
 
 
 def _hash_words_np(
-    words: np.ndarray,
-    n_bytes: int,
-    seed_region,
-    params: HashParams,
-    layout: SeedLayout,
-    last: np.ndarray | None = None,
+    words: np.ndarray, n_bytes: int, seed_region, params: HashParams, layout: SeedLayout, last=None
 ) -> np.ndarray:
     """Hash a (B, n_words) batch of ``n_bytes`` inputs under ``layout =
     seed_layout(params, n_bytes)``; ``seed_region(start, count)`` returns
     seed word arrays broadcastable against the batch.  Returns (B, k) words.
 
-    ``last`` (B, 0 or 1) holds the zero-padded final partial word when
-    ``words`` holds only the whole words of the input.
+    ``last``, an int or a (B, 1) array, is the zero-padded final partial
+    word when ``words`` holds only the whole words of the input.
 
     After ``_hash_instances``, the finalize and the tail share one NH pass.
     Tree r's row holds its finalize words (f - 1 block slots per level,
@@ -516,60 +512,53 @@ def _hash_words_np(
     window r of the Toeplitz tail key, so one NH over the k rows gives the
     digest words: the finalize NH plus the tail NH of each tree.
     """
-    k, b, f, m = params.output_words, params.block_words, params.fanout, params.instance_words
+    k, b = params.output_words, params.block_words
     batch = words.shape[0]
-    if last is None:
-        last = np.empty((batch, 0), dtype=np.uint64)
-    pending = _hash_instances(words, last, seed_region, params, layout)
+    n_inst, n_fin, n_tail = layout.instances, layout.finalize_words, layout.tail_words
+    pending = _hash_instances(words, last, seed_region, params, layout) if n_inst else ()
 
-    n_fin, n_tail = layout.finalize_words, layout.tail_words
     row = np.zeros((batch, k, n_fin + n_tail), dtype=np.uint64)
+    step = (params.fanout - 1) * b
     for i, blocks in enumerate(pending):
-        lo = i * (f - 1) * b
-        row[:, :, lo : lo + blocks.shape[2] * b] = blocks.reshape(batch, k, -1)
+        row[:, :, i * step : i * step + blocks.shape[2] * b] = blocks.reshape(batch, k, -1)
     # The leftovers can be views of a whole combined run: free them before
     # the NH allocates its second array of the row's size.
     pending = blocks = None
     row[:, :, n_fin - 1] = n_bytes & MASK64
     # The tail's whole words, then the partial word.  When the last
     # instance reads the partial word, the tail starts past ``words``.
-    start = layout.instances * m
+    start = n_inst * params.instance_words
     whole = max(words.shape[1] - start, 0)
     row[:, :, n_fin : n_fin + whole] = words[:, None, start:]
-    row[:, :, n_fin + whole :] = last[:, None, : n_tail - whole]
+    if whole < n_tail:
+        row[:, :, -1] = last
 
     # Keys go on the 32-bit views, so that each half wraps on its own.
     halves = row.view(np.uint32)
     per = layout.finalize_words_per_tree
-    fin_seed = seed_region(layout.finalize_start, k * per)
-    fin_seed = fin_seed.reshape(fin_seed.shape[:-1] + (k, per))[..., :n_fin]
+    fin_seed = seed_region(layout.finalize_start, k * per).reshape(-1, k, per)[..., :n_fin]
     fin = halves[..., : 2 * n_fin]
     np.add(fin, fin_seed.view(np.uint32), out=fin)
-    rem = seed_region(layout.remainder_start, n_tail + k - 1).view(np.uint32)
-    for r in range(k):
-        tail = halves[:, r, 2 * n_fin :]
-        np.add(tail, rem[..., 2 * r : 2 * (r + n_tail)], out=tail)
+    # As (1 or B, words) each window has a tail's shape: one flat add loop.
+    rem = seed_region(layout.remainder_start, layout.remainder_words)
+    rem = rem.reshape(-1, layout.remainder_words).view(np.uint32)
+    for r, tail in enumerate(halves[:, :, 2 * n_fin :].swapaxes(0, 1)):
+        np.add(tail, rem[:, 2 * r : 2 * (r + n_tail)], out=tail)
     return _nh_keyed_np(row)
 
 
 def _words_np_from_bytes(data: memoryview) -> np.ndarray:
-    """The whole little-endian 64-bit words of ``data``, as a view of it."""
-    whole = data[: len(data) - len(data) % 8]
-    return np.frombuffer(whole, dtype="<u8").astype(np.uint64, copy=False)
-
-
-def _last_word_np(data: memoryview) -> np.ndarray:
-    """The final partial word of ``data``, zero-padded, as a (1, 0 or 1) array."""
-    rest = len(data) % 8
-    word = [int.from_bytes(data[len(data) - rest :], "little")] if rest else []
-    return np.array([word], dtype=np.uint64)
+    """The whole little-endian 64-bit words of ``data``, as a view of it.
+    Every kernel copies them into native arrays before it reads halves."""
+    return np.frombuffer(data, dtype=_LE_WORD, count=len(data) // 8)
 
 
 def _hash_lanes(
     data: memoryview, seed: SeedBuffer, params: HashParams, layout: SeedLayout
 ) -> Digest:
-    words = _words_np_from_bytes(data)[None, :]
-    out = _hash_words_np(words, len(data), seed.words_np, params, layout, _last_word_np(data))
+    words, rest = _words_np_from_bytes(data)[None, :], len(data) % 8
+    last = int.from_bytes(data[len(data) - rest :], "little") if rest else None
+    out = _hash_words_np(words, len(data), seed.words_np, params, layout, last)
     return Digest(tuple(out[0].tolist()))
 
 
@@ -610,9 +599,7 @@ def digest(
     output_bytes: int = 24,
 ) -> Digest:
     """Convenience one-shot: expand a seed sized for this input and hash."""
-    from .params import variant
-
-    params = variant(output_bytes)
+    params = params_mod.variant(output_bytes)
     view = _byte_view(data)
     layout = seed_layout(params, len(view))
     return _hash_lanes(view, expand_seed(master, layout.total_words), params, layout)

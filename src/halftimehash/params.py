@@ -35,18 +35,20 @@ def horner_plan(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...
     ``horner_schedule`` is left-padded with empty levels to the tallest
     row's height, so one x-step of the whole output block per level serves
     every row."""
-    schedules = [horner_schedule(tuple(row)) for row in rows]
+    schedules = [horner_schedule(row) for row in rows]
     height = max(map(len, schedules), default=0)
     return tuple(zip(*[((),) * (height - len(schedule)) + schedule for schedule in schedules]))
 
 
 @dataclass(frozen=True)
 class TransformMatrix:
-    """The combine matrix: ``rows`` output blocks from ``cols`` hashed blocks."""
+    """The combine matrix: ``rows`` output blocks from ``cols`` hashed blocks.
+    Its rows are stored as tuples, the key of the ``horner_plan`` cache."""
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         widths = {len(row) for row in self.entries}
         if len(widths) != 1:
             raise ValueError("ragged matrix")
@@ -84,6 +86,7 @@ class ErasureCode:
     parity_rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "parity_rows", tuple(map(tuple, self.parity_rows)))
         for row in self.parity_rows:
             if len(row) != self.arity_in:
                 raise ValueError("parity row width must equal arity_in")

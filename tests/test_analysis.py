@@ -196,6 +196,21 @@ def test_entropy_report_pinned_formula_case():
     assert math.isclose(r.epsilon_log2, 96 - math.log2(129), rel_tol=1e-12)
 
 
+def test_reported_bound_never_exceeds_key_bits():
+    # Every seed word derives from one 64-bit fold of the master, so no
+    # bound below 2^-64 holds for every pair; the formula figure exceeds
+    # it from v24 up and is reported beside the capped one.
+    for width, p in sorted(VARIANTS.items()):
+        for n in (1, 8 * p.instance_words, 2**20, 2**40, 2**60):
+            r = entropy_report(p, n)
+            assert r.key_bits == 64
+            assert r.epsilon_log2_keyed == min(r.epsilon_log2, 64.0)
+            header = analysis.report_csv_header().split(",")
+            row = dict(zip(header, analysis.report_csv_row(r).split(",")))
+            assert float(row["epsilon_log2_keyed"]) <= r.key_bits
+    assert entropy_report(variant(40), 2**20).epsilon_log2 > 64
+
+
 def test_entropy_report_exabyte_over_83_bits():
     p = variant(24)
     for n in (10**18, 2**60):

@@ -240,46 +240,47 @@ def _pinned_lengths(p):
 
 
 ANALYZE_HEADER = (
-    "output_bytes,n_bytes,tree_height,tree_height_floor,epsilon_log2,seed_words,"
-    "seed_bytes,seed_words_paper,multiplications,multiplications_log_term"
+    "output_bytes,n_bytes,tree_height,tree_height_floor,epsilon_log2,key_bits,"
+    "epsilon_log2_keyed,seed_words,seed_bytes,seed_words_paper,multiplications,"
+    "multiplications_log_term"
 )
 # ``analyze --csv`` rows at _pinned_lengths, per variant.
 ANALYZE_ROWS = {
     16: [
-        "16,1,0,0,59.91,253,2024,253,0,4",
-        "16,767,0,0,59.91,253,2024,253,128,98",
-        "16,768,0,0,59.91,253,2024,253,128,98",
-        "16,769,0,0,59.91,253,2024,253,128,100",
-        "16,6144,1,1,59.83,395,3160,253,1024,210",
-        "16,1048576,4,3,58.96,679,5432,679,174720,290",
-        "16,1152921504606846976,17,16,55.74,2525,20200,2525,192153584101141120,994",
+        "16,1,0,0,59.91,64,59.91,253,2024,253,0,4",
+        "16,767,0,0,59.91,64,59.91,253,2024,253,128,98",
+        "16,768,0,0,59.91,64,59.91,253,2024,253,128,98",
+        "16,769,0,0,59.91,64,59.91,253,2024,253,128,100",
+        "16,6144,1,1,59.83,64,59.83,395,3160,253,1024,210",
+        "16,1048576,4,3,58.96,64,58.96,679,5432,679,174720,290",
+        "16,1152921504606846976,17,16,55.74,64,55.74,2525,20200,2525,192153584101141120,994",
     ],
     24: [
-        "24,1,0,0,89.98,410,3280,410,0,6",
-        "24,1343,0,0,89.98,410,3280,410,240,147",
-        "24,1344,0,0,89.98,410,3280,410,240,147",
-        "24,1345,0,0,89.98,410,3280,410,240,150",
-        "24,10752,1,1,89.96,623,4984,410,1920,315",
-        "24,1048576,4,3,88.99,1049,8392,1049,187200,531",
-        "24,1152921504606846976,17,16,83.72,3818,30544,3818,205878840108365520,2235",
+        "24,1,0,0,89.98,64,64.00,410,3280,410,0,6",
+        "24,1343,0,0,89.98,64,64.00,410,3280,410,240,147",
+        "24,1344,0,0,89.98,64,64.00,410,3280,410,240,147",
+        "24,1345,0,0,89.98,64,64.00,410,3280,410,240,150",
+        "24,10752,1,1,89.96,64,64.00,623,4984,410,1920,315",
+        "24,1048576,4,3,88.99,64,64.00,1049,8392,1049,187200,531",
+        "24,1152921504606846976,17,16,83.72,64,64.00,3818,30544,3818,205878840108365520,2235",
     ],
     32: [
-        "32,1,0,0,116.00,485,3880,485,0,8",
-        "32,1343,0,0,116.00,485,3880,485,272,196",
-        "32,1344,0,0,116.00,485,3880,485,272,196",
-        "32,1345,0,0,116.00,485,3880,485,272,200",
-        "32,10752,1,1,116.00,769,6152,485,2176,420",
-        "32,1048576,4,3,115.91,1337,10696,1337,212160,708",
-        "32,1152921504606846976,17,16,111.58,5029,40232,5029,233329352122814256,2980",
+        "32,1,0,0,116.00,64,64.00,485,3880,485,0,8",
+        "32,1343,0,0,116.00,64,64.00,485,3880,485,272,196",
+        "32,1344,0,0,116.00,64,64.00,485,3880,485,272,196",
+        "32,1345,0,0,116.00,64,64.00,485,3880,485,272,200",
+        "32,10752,1,1,116.00,64,64.00,769,6152,485,2176,420",
+        "32,1048576,4,3,115.91,64,64.00,1337,10696,1337,212160,708",
+        "32,1152921504606846976,17,16,111.58,64,64.00,5029,40232,5029,233329352122814256,2980",
     ],
     40: [
-        "40,1,0,0,145.00,506,4048,506,0,10",
-        "40,959,0,0,145.00,506,4048,506,256,245",
-        "40,960,0,0,145.00,506,4048,506,256,245",
-        "40,961,0,0,145.00,506,4048,506,256,250",
-        "40,7680,1,1,145.00,861,6888,506,2048,525",
-        "40,1048576,4,3,144.96,1571,12568,1571,279552,1005",
-        "40,1152921504606846976,17,16,139.53,6186,49488,6186,307445734561825792,3645",
+        "40,1,0,0,145.00,64,64.00,506,4048,506,0,10",
+        "40,959,0,0,145.00,64,64.00,506,4048,506,256,245",
+        "40,960,0,0,145.00,64,64.00,506,4048,506,256,245",
+        "40,961,0,0,145.00,64,64.00,506,4048,506,256,250",
+        "40,7680,1,1,145.00,64,64.00,861,6888,506,2048,525",
+        "40,1048576,4,3,144.96,64,64.00,1571,12568,1571,279552,1005",
+        "40,1152921504606846976,17,16,139.53,64,64.00,6186,49488,6186,307445734561825792,3645",
     ],
 }
 

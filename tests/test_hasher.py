@@ -195,6 +195,20 @@ def test_equal_seed_buffers_compare_and_hash_equal():
     )
 
 
+def test_masters_with_equal_fold_hash_alike():
+    # The seed stream reads only the XOR of the master's four words: a
+    # master carries KEY_BITS bits of key, as analyze reports.
+    words = np.frombuffer(RANGE_MASTER, dtype="<u8").copy()
+    words[:2] ^= np.uint64(0x0123456789ABCDEF)
+    same, other = words.tobytes(), bytes(31) + b"\x01"
+    assert hasher._master_fold(same) == hasher._master_fold(RANGE_MASTER) < 2**hasher.KEY_BITS
+    for width in sorted(VARIANTS):
+        data = fill_bytes(5000)
+        want = hh.digest(data, RANGE_MASTER, width)
+        assert hh.digest(data, same, width) == want
+        assert hh.digest(data, other, width) != want
+
+
 def test_each_hash_call_computes_its_seed_layout_once(monkeypatch):
     p = hh.variant(24)
     data = fill_bytes(3 * 8 * p.instance_words + 5)
@@ -311,20 +325,34 @@ BUFFER_KINDS = {
 }
 
 
+def _bytes_like_lengths():
+    """(width, length): the word and instance edges of the load, which
+    reads the whole words in place and the partial word on its own, and
+    an input of three instances and 13 bytes."""
+    for width in (16, 40):
+        m8 = 8 * hh.variant(width).instance_words
+        for n in (0, 1, 7, 8, 9, m8 - 1, m8, m8 + 5):
+            yield width, n
+    yield 24, 3 * 8 * hh.variant(24).instance_words + 13
+
+
 @pytest.mark.parametrize("kind", sorted(BUFFER_KINDS))
 def test_bytes_like_inputs_hash_like_bytes(kind):
-    p = hh.variant(24)
-    data = fill_bytes(3 * p.instance_words * 8 + 13)
-    seed = hh.seed_for_input(RANGE_MASTER, p, len(data))
-    want = hh.hash_bytes(data, seed, p)
-    buf = BUFFER_KINDS[kind](data)
-    try:
-        assert hh.hash_bytes(buf, seed, p) == want
-        assert hh.hash_bytes(buf, seed, p, engine="scalar") == want
-        assert hh.digest(buf, RANGE_MASTER, 24) == hh.digest(data, RANGE_MASTER, 24)
-    finally:
-        if isinstance(buf, mmap.mmap):
-            buf.close()  # raises BufferError if a view of it were still held
+    for width, n in _bytes_like_lengths():
+        if kind == "mmap" and not n:
+            continue  # an anonymous mmap cannot be empty
+        p = hh.variant(width)
+        data = fill_bytes(n)
+        seed = hh.seed_for_input(RANGE_MASTER, p, n)
+        want = hh.hash_bytes(data, seed, p, engine="scalar")
+        buf = BUFFER_KINDS[kind](data)
+        try:
+            assert hh.hash_bytes(buf, seed, p) == want, (width, n)
+            assert hh.hash_bytes(buf, seed, p, engine="scalar") == want, (width, n)
+            assert hh.digest(buf, RANGE_MASTER, width) == hh.digest(data, RANGE_MASTER, width)
+        finally:
+            if isinstance(buf, mmap.mmap):
+                buf.close()  # raises BufferError if a view of it were still held
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
@@ -654,7 +682,9 @@ def test_final_nh_row_matches_scalar_at_every_tail(width, data):
     # a batch of two, each under its own seed, its partial words apart
     views = [memoryview(x) for x in inputs]
     words = np.concatenate([hasher._words_np_from_bytes(v)[None, :] for v in views])
-    last = np.concatenate([hasher._last_word_np(v) for v in views])
+    last = None
+    if n % 8:  # the zero-padded partial words, as a (2, 1) array
+        last = np.array([[int.from_bytes(v[n - n % 8 :], "little")] for v in views], np.uint64)
     region = _batched_seed_region(
         np.stack([np.frombuffer(mst, dtype="<u8") for mst in masters]).astype(np.uint64)
     )
@@ -710,6 +740,20 @@ def test_lanes_memory_bounded_by_run_size(width):
         data = bytes(n)
         peaks.append(_traced_peak(data, hh.seed_for_input(ZERO_MASTER, p, n), p))
     assert peaks[1] - peaks[0] < 2**20
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+def test_lanes_memory_without_instances_within_two_rows(width):
+    # An input with no whole instance costs two arrays of the final row's
+    # size: the row itself and its low halves.  Between 8 B and 8(m - 1)
+    # B the row grows by m - 2 tail words of 8k bytes each.
+    p = hh.variant(width)
+    m, k = p.instance_words, p.output_words
+    seed = hh.seed_for_input(ZERO_MASTER, p, 8 * m)
+    _traced_peak(fill_bytes(8), seed, p)  # first-call allocations
+    small = _traced_peak(fill_bytes(8), seed, p)
+    large = _traced_peak(fill_bytes(8 * (m - 1)), seed, p)
+    assert large - small <= 2 * 8 * k * (m - 2) + 256
 
 
 def test_unknown_engine_rejected():
