@@ -6,7 +6,10 @@ down to a single block with NH, and combines the hashed blocks into
 ``output_words`` blocks through the fixed small-coefficient matrix.
 
 Items are plain nested tuples (item -> block -> lane word); the batched
-array pipeline lives in :mod:`halftimehash.hasher`.
+array pipeline lives in :mod:`halftimehash.hasher`.  The encoder and the
+combine work on whole items: each packs an item's words, or a hashed
+block's lanes, into one Python int, so a Horner step is one x-step or
+doubling and one XOR or add per picked item, whatever the item's size.
 """
 
 from __future__ import annotations
@@ -20,27 +23,58 @@ from .params import ErasureCode, HashParams, TransformMatrix, horner_schedule
 Item = Sequence[Sequence[int]]
 
 
+def _pack(item: Item, width: int):
+    """An item's words as one integer, the ``l``-th word of the item in
+    block-major order at bits ``[l * width, (l + 1) * width)``.  A one-word
+    item packs to its word's value, so a numpy column of one-word items
+    packs to an equal array."""
+    packed = 0
+    for block in reversed(item):
+        for word in reversed(block):
+            packed = packed << width | word
+    return packed
+
+
+def _unpack(packed, width: int, blocks: int, lanes: int) -> Item:
+    """Inverse of :func:`_pack` for an item of ``blocks`` blocks of
+    ``lanes`` words."""
+    if blocks == lanes == 1:
+        return ((packed,),)
+    mask = (1 << width) - 1
+    out = []
+    for _ in range(blocks):
+        block = []
+        for _ in range(lanes):
+            block.append(packed & mask)
+            packed >>= width
+        out.append(tuple(block))
+    return tuple(out)
+
+
 def encode(items: Sequence[Item], code: ErasureCode, width: int = 64) -> list[Item]:
     """Erasure-encode ``arity_in`` items into ``arity_out`` items.
 
     Systematic: the inputs pass through verbatim, followed by the parity
-    items.  Each parity runs its row's ``horner_schedule``: per coefficient
-    bit, one GF(16) x-step of every parity word, then XOR in the picked
-    items, as ``hasher._encode_np`` does.  The arithmetic is lane-wise per
-    word, so the same routine runs at reduced widths for verification.
+    items.  Each item's words are packed into one integer, so each parity
+    runs its row's ``horner_schedule`` on whole items: per coefficient bit,
+    one GF(16) x-step of every lane of the parity, then one XOR per picked
+    item, as ``hasher._encode_np`` does on arrays.  The arithmetic is
+    lane-wise per word, so the same routine runs at reduced widths for
+    verification, and on numpy columns of one-word items.
     """
     if len(items) != code.arity_in:
         raise ValueError(f"expected {code.arity_in} items, got {len(items)}")
-    out: list[Item] = [tuple(tuple(block) for block in item) for item in items]
+    out: list[Item] = [tuple(map(tuple, item)) for item in items]
+    blocks, lanes = len(out[0]), len(out[0][0])
+    item_words = sum(map(len, out[0]))
+    packed = [_pack(item, width) for item in out]
     for row in code.parity_rows:
-        parity = [[0] * len(block) for block in items[0]]
-        for picked in horner_schedule(tuple(row)):
-            for t, dst in enumerate(parity):
-                for u in range(len(dst)):
-                    dst[u] = gf16.xtime(dst[u], width)
-                    for i in picked:
-                        dst[u] ^= items[i][t][u]
-        out.append(tuple(tuple(block) for block in parity))
+        parity = 0
+        for picked in horner_schedule(row):
+            parity = gf16.xtime(parity, width, item_words)
+            for i in picked:
+                parity ^= packed[i]
+        out.append(_unpack(parity, width, blocks, lanes))
     return out
 
 
@@ -53,14 +87,17 @@ def hash_encoded(
     """NH each encoded item down to one block.
 
     Item ``i`` is keyed by entropy words ``[i*w, (i+1)*w)``; lane ``j``
-    hashes the item's ``w`` lane-``j`` words.
+    hashes the item's ``w`` lane-``j`` words.  Each word costs one half-word
+    multiplication, counted once per item.
     """
     w = len(encoded[0])
     out = []
     for i, item in enumerate(encoded):
         keys = entropy[i * w : (i + 1) * w]
         lanes = zip(*item, strict=True)
-        out.append(tuple(nh_full(lane, keys, half_bits, counter, "ehc") for lane in lanes))
+        out.append(tuple([nh_full(lane, keys, half_bits) for lane in lanes]))
+        if counter is not None:
+            counter.add("ehc", sum(map(len, item)))
     return out
 
 
@@ -72,20 +109,27 @@ def combine(
     """Apply the combine matrix lane-wise: k output blocks from e inputs.
 
     Each row runs its ``horner_schedule``: per coefficient bit, double the
-    lanes, then add the picked blocks.  The matrix multiplies by shifts and
+    lanes, then add the picked blocks.  The blocks are packed into one
+    integer each, lane by lane, with enough guard bits between lanes that
+    a row's sum never carries into the next lane, so every doubling and
+    every add steps all lanes at once.  The matrix multiplies by shifts and
     adds only, so no multiplication is counted.
     """
     if len(hashed) != matrix.cols:
         raise ValueError(f"expected {matrix.cols} hashed blocks, got {len(hashed)}")
-    mask = (1 << 2 * half_bits) - 1
+    width, lanes = 2 * half_bits, len(hashed[0])
+    # A lane's row sum stays below sum(row) << width.
+    stride = width + max(map(sum, matrix.entries)).bit_length()
+    packed = [_pack((block,), stride) for block in hashed]
+    mask = _pack(([(1 << width) - 1 for _ in range(lanes)],), stride)
     out = []
     for row in matrix.entries:
-        acc = [0] * len(hashed[0])
-        for picked in horner_schedule(tuple(row)):
-            acc = [a << 1 for a in acc]
+        acc = 0
+        for picked in horner_schedule(row):
+            acc <<= 1
             for i in picked:
-                acc = [a + x for a, x in zip(acc, hashed[i])]
-        out.append(tuple([a & mask for a in acc]))
+                acc += packed[i]
+        out.append(_unpack(acc & mask, stride, 1, lanes)[0])
     return out
 
 

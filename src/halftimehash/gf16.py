@@ -8,17 +8,39 @@ verification symbols and full 64-bit words (where one word behaves as 16
 parallel GF(16) elements).
 
 Functions accept plain integers or numpy uint64 arrays; the width mask
-follows from ``width``.
+follows from ``width``.  ``xtime`` also steps several words packed into one
+integer, as the scalar encoder packs an item.
 """
 
 from __future__ import annotations
 
+from functools import cache
 
-def xtime(value, width: int):
-    """Multiply every lane by x, reducing by x^4 + x + 1."""
+
+@cache
+def _lane_masks(width: int, lanes: int) -> tuple[int, int]:
+    """``xtime``'s masks for ``lanes`` words of ``width`` bits packed side by
+    side, word ``l`` at bits ``[l * width, (l + 1) * width)``: the low
+    quarter of every word, and every word's bits above it."""
     stride = width >> 2
-    top = value >> (3 * stride)
-    return ((value << stride) & ((1 << width) - 1)) ^ top ^ (top << stride)
+    low = (1 << stride) - 1
+    high = ((1 << width) - 1) ^ low
+    low_all = high_all = 0
+    for _ in range(lanes):
+        low_all = low_all << width | low
+        high_all = high_all << width | high
+    return low_all, high_all
+
+
+def xtime(value, width: int, lanes: int = 1):
+    """Multiply every lane by x, reducing by x^4 + x + 1.
+
+    ``value`` holds ``lanes`` words of ``width`` bits side by side (see
+    :func:`_lane_masks`), so one call steps a whole packed item."""
+    stride = width >> 2
+    low, high = _lane_masks(width, lanes)
+    top = (value >> 3 * stride) & low
+    return ((value << stride) & high) ^ top ^ (top << stride)
 
 
 def xtime_inplace(value):

@@ -212,9 +212,14 @@ def _byte_view(data) -> memoryview:
 
 
 def words_from_bytes(data) -> list[int]:
-    """Little-endian 64-bit words, zero-padding the final partial word."""
+    """The little-endian 64-bit words of ``data`` as a list of ints, the
+    final partial word zero-padded.  The whole words are read in place
+    through :func:`_words_np_from_bytes`, so the input is never copied."""
     view = _byte_view(data)
-    return [int.from_bytes(view[i : i + 8], "little") for i in range(0, len(view), 8)]
+    words = _words_np_from_bytes(view).tolist()
+    if len(view) % 8:
+        words.append(int.from_bytes(view[len(view) & ~7 :], "little"))
+    return words
 
 
 def hash_remainder(
@@ -245,22 +250,18 @@ def _hash_scalar(
     layout: SeedLayout,
     counter: MultCounter | None,
 ) -> Digest:
-    words = words_from_bytes(data)
     k, b, f = params.output_words, params.block_words, params.fanout
     w, d, m = params.item_blocks, params.instance_items, params.instance_words
-    n_inst = layout.instances
+    n_inst, step = layout.instances, 8 * m
 
     entropy = seed.words_np(layout.ehc_start, layout.ehc_words).tolist()
     tree_blocks: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
     for t in range(n_inst):
-        base = t * m
-        items = [
-            tuple(
-                tuple(words[base + (i * w + u) * b : base + (i * w + u) * b + b])
-                for u in range(w)
-            )
-            for i in range(d)
-        ]
+        # Each instance's words are loaded when it is reached, so only the
+        # tree's blocks grow with the input.
+        words = words_from_bytes(data[t * step : (t + 1) * step])
+        blocks = [words[j : j + b] for j in range(0, m, b)]
+        items = [blocks[i * w : (i + 1) * w] for i in range(d)]
         combined = ehc_mod.compress_instance(items, entropy, params, 32, counter)
         for r in range(k):
             tree_blocks[r].append(combined[r])
@@ -280,7 +281,7 @@ def _hash_scalar(
             tree_mod.tree_finalize(levels, len(data), fin_seed, f, b, 32, counter)
         )
 
-    tail = words[n_inst * m :]
+    tail = words_from_bytes(data[n_inst * step :])
     rem_words = seed.words_np(layout.remainder_start, layout.remainder_words).tolist()
     rem = hash_remainder(tail, rem_words, k, 32, counter)
     return Digest(tuple((out_words[r] + rem[r]) & MASK64 for r in range(k)))

@@ -132,7 +132,8 @@ def test_full_width_encode_is_sixteen_lane_encodes(width):
 def test_lane_identity_catches_a_width_64_only_fault(monkeypatch):
     # An x-step of stride 1 instead of width >> 2 is the same map at width
     # 4, so the 4-bit search cannot see it; the lane identity must.
-    def xtime_stride_one(value, width):
+    # The distance checks encode one-word items, so ``lanes`` is always 1.
+    def xtime_stride_one(value, width, lanes=1):
         top = value >> 3
         return ((value << 1) & ((1 << width) - 1)) ^ top ^ (top << 1)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import mmap
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -308,6 +309,37 @@ def test_words_from_bytes_little_endian_zero_pad():
     assert words_from_bytes(b"") == []
 
 
+LOAD_KINDS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": memoryview,
+    "numpy": lambda data: np.frombuffer(data, dtype=np.uint8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOAD_KINDS))
+@pytest.mark.parametrize("n", list(range(18)) + [8 * m + e for m in (3, 64, 1001) for e in (-1, 1)])
+def test_words_from_bytes_matches_per_word_from_bytes(kind, n):
+    data = fill_bytes(n)
+    want = [int.from_bytes(data[i : i + 8], "little") for i in range(0, n, 8)]
+    assert words_from_bytes(LOAD_KINDS[kind](data)) == want
+
+
+@pytest.mark.parametrize("n", [2**15, 2**15 + 5])
+def test_words_from_bytes_never_copies_its_input(n):
+    # Its traced peak is the returned list and its ints plus a small
+    # constant; a padded copy of the input would add n bytes to it.
+    data = fill_bytes(n)
+    tracemalloc.start()
+    try:
+        words = words_from_bytes(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sys.getsizeof(words) + sum(map(sys.getsizeof, words))
+    assert peak <= own + 2048
+
+
 def _mmap_holding(data: bytes) -> mmap.mmap:
     buf = mmap.mmap(-1, len(data))
     buf[:] = data
@@ -436,9 +468,11 @@ def test_encode_np_matches_scaled_xor(width, data):
             dtype=np.uint64,
         )
 
+    octets = inst & np.uint64(255)  # the oracle's words of two 4-bit halves
     cases = [  # (input words, lane width, encoding as (2, 3, e, w, b))
         (inst, 64, np.moveaxis(hasher._encode_np(inst, p), 1, 2)),
         (inst, 64, scalar(inst, 64)),
+        (octets, 8, scalar(octets, 8)),
         (nibbles, 4, scalar(nibbles, 4)),
     ]
     for words, bits, enc in cases:
@@ -692,15 +726,26 @@ def test_final_nh_row_matches_scalar_at_every_tail(width, data):
     assert [tuple(int(v) for v in row) for row in got] == [d.words for d in want]
 
 
-def _traced_peak(data, seed, p) -> int:
-    """Peak traced memory of one lanes hash, net of what was live before."""
+def _traced_peak(data, seed, p, engine="lanes") -> int:
+    """Peak traced memory of one hash, net of what was live before."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        hh.hash_bytes(data, seed, p)
+        hh.hash_bytes(data, seed, p, engine=engine)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+def test_scalar_memory_holds_tree_blocks_not_every_word(width):
+    # The scalar engine loads each instance's words when it reaches it, so
+    # its peak is the tree's k blocks per instance (2.4x the input at v40,
+    # 1.3-1.8x otherwise), not a list of every input word (5.5x the input).
+    data = fill_bytes(2**17 + 3)
+    p = hh.variant(width)
+    seed = hh.seed_for_input(ZERO_MASTER, p, len(data))
+    assert _traced_peak(data, seed, p, "scalar") < 3 * len(data)
 
 
 @pytest.fixture(scope="module")

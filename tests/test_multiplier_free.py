@@ -11,7 +11,10 @@ from halftimehash import ehc, gf16, hasher, params
 # functions run them.
 ENCODE_AND_COMBINE_FUNCTIONS = [
     ehc.encode,
+    ehc._pack,
+    ehc._unpack,
     hasher._encode_np,
+    gf16._lane_masks,
     gf16.xtime,
     gf16.xtime_inplace,
     ehc.combine,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halftimehash import ehc, oracle
+from halftimehash import ehc, oracle, tree
 from halftimehash.oracle import DeltaProbe, max_delta_probability, tree_collision_estimate
 
 import reference
@@ -89,12 +89,14 @@ def test_ehc_probe_requires_params():
         max_delta_probability("ehc", DeltaProbe((1,), (2,), None, 4))
 
 
-def test_tree_collision_identical_inputs_always_collide():
-    # the estimator forces distinct inputs; identical stacks are collision
-    # by definition, checked through the probe result on equal x == y
+def test_tree_collision_constant_tree_always_collides_and_fails(monkeypatch):
+    # A tree that ignores its blocks makes every pair collide: the estimator
+    # must count each such trial and judge the rate far above the bound.
+    monkeypatch.setattr(tree, "tree_reduce", lambda blocks, seeds, fanout, half_bits: [[(7,)]])
     res = tree_collision_estimate(8, 4, 1, 1, trials=200)
-    assert 0 <= res.estimate <= 1
-    assert res.trials == 200
+    assert res.collisions == res.trials == 200
+    assert res.estimate == 1.0
+    assert res.status == "fail"
 
 
 def test_tree_collision_h1_k1_width8():
