@@ -77,11 +77,6 @@ def max_two_adic_valuation(matrix: TransformMatrix, k: int) -> int:
     return best
 
 
-def _encode_symbols(code: ErasureCode, symbols, width: int) -> list:
-    """Codeword symbols from ``ehc.encode``, each symbol a one-word item."""
-    return [item[0][0] for item in ehc.encode([((s,),) for s in symbols], code, width)]
-
-
 #: Most rows of one support size's symbol grid in the exhaustive distance
 #: search; the shipped codes need at most 15^4, at v40.
 _GRID_ROW_LIMIT = 15**5
@@ -118,7 +113,7 @@ def _exhaustive_min_distance(code: ErasureCode) -> int:
             for idx, pos in enumerate(support):
                 symbols[pos] = vals[:, idx]
             weights = np.full(len(vals), s, dtype=np.int64)
-            for parity in _encode_symbols(code, symbols, 4)[d:]:
+            for parity in ehc.encode(symbols, code, 4)[d:]:
                 weights += parity != 0
             best = min(best, int(weights.min()))
         s += 1
@@ -139,8 +134,8 @@ def _random_trial_min_distance(code: ErasureCode, trials: int) -> int:
         same = np.all(x == y, axis=1)
         if same.any():
             y[same, 0] ^= np.uint64(1)
-        ex = _encode_symbols(code, [x[:, i] for i in range(d)], 64)
-        ey = _encode_symbols(code, [y[:, i] for i in range(d)], 64)
+        ex = ehc.encode([x[:, i] for i in range(d)], code, 64)
+        ey = ehc.encode([y[:, i] for i in range(d)], code, 64)
         dist = np.zeros(n, dtype=np.int64)
         for a, b in zip(ex, ey):
             dist += a != b

@@ -5,11 +5,12 @@ erasure-encodes them to ``encoded_items`` items, hashes every encoded item
 down to a single block with NH, and combines the hashed blocks into
 ``output_words`` blocks through the fixed small-coefficient matrix.
 
-Items are plain nested tuples (item -> block -> lane word); the batched
-array pipeline lives in :mod:`halftimehash.hasher`.  The encoder and the
-combine work on whole items: each packs an item's words, or a hashed
-block's lanes, into one Python int, so a Horner step is one x-step or
-doubling and one XOR or add per picked item, whatever the item's size.
+An item is one int, the little-endian integer of its ``w * b`` words: word
+``l`` (block ``l // b``, lane ``l % b``) at bits ``[l * width, (l + 1) *
+width)``, which at full width is ``int.from_bytes(item_bytes, "little")``.
+So a Horner step of the encoder is one x-step and one XOR per picked item,
+whatever the item's size; the combine packs a hashed block's lanes the
+same way.  The batched array pipeline lives in :mod:`halftimehash.hasher`.
 """
 
 from __future__ import annotations
@@ -20,84 +21,75 @@ from . import gf16
 from .nh import MultCounter, nh_full
 from .params import ErasureCode, HashParams, TransformMatrix, horner_schedule
 
-Item = Sequence[Sequence[int]]
 
-
-def _pack(item: Item, width: int):
-    """An item's words as one integer, the ``l``-th word of the item in
-    block-major order at bits ``[l * width, (l + 1) * width)``.  A one-word
-    item packs to its word's value, so a numpy column of one-word items
-    packs to an equal array."""
+def _pack(words: Sequence[int], stride: int) -> int:
+    """``words`` side by side in one int, the ``l``-th at bits
+    ``[l * stride, (l + 1) * stride)``."""
     packed = 0
-    for block in reversed(item):
-        for word in reversed(block):
-            packed = packed << width | word
+    for word in reversed(words):
+        packed = packed << stride | word
     return packed
 
 
-def _unpack(packed, width: int, blocks: int, lanes: int) -> Item:
-    """Inverse of :func:`_pack` for an item of ``blocks`` blocks of
-    ``lanes`` words."""
-    if blocks == lanes == 1:
-        return ((packed,),)
+def _split(packed: int, stride: int, count: int, width: int) -> list[int]:
+    """The low ``width`` bits of each of the ``count`` words packed
+    ``stride`` bits apart, as :func:`_pack` packs them."""
     mask = (1 << width) - 1
     out = []
-    for _ in range(blocks):
-        block = []
-        for _ in range(lanes):
-            block.append(packed & mask)
-            packed >>= width
-        out.append(tuple(block))
-    return tuple(out)
+    for _ in range(count):
+        out.append(packed & mask)
+        packed >>= stride
+    return out
 
 
-def encode(items: Sequence[Item], code: ErasureCode, width: int = 64) -> list[Item]:
-    """Erasure-encode ``arity_in`` items into ``arity_out`` items.
+def encode(items: Sequence, code: ErasureCode, width: int = 64, item_words: int = 1) -> list:
+    """Erasure-encode ``arity_in`` items of ``item_words`` words into
+    ``arity_out`` items.
 
     Systematic: the inputs pass through verbatim, followed by the parity
-    items.  Each item's words are packed into one integer, so each parity
-    runs its row's ``horner_schedule`` on whole items: per coefficient bit,
-    one GF(16) x-step of every lane of the parity, then one XOR per picked
-    item, as ``hasher._encode_np`` does on arrays.  The arithmetic is
-    lane-wise per word, so the same routine runs at reduced widths for
-    verification, and on numpy columns of one-word items.
+    items.  Each parity runs its row's ``horner_schedule`` on whole items:
+    per coefficient bit, one GF(16) x-step of every word of the parity,
+    then one XOR per picked item, as ``hasher._encode_np`` does on arrays.
+    The arithmetic is lane-wise per word, so the same routine runs at
+    reduced widths for verification, and on numpy columns of one-word
+    items.
     """
     if len(items) != code.arity_in:
         raise ValueError(f"expected {code.arity_in} items, got {len(items)}")
-    out: list[Item] = [tuple(map(tuple, item)) for item in items]
-    blocks, lanes = len(out[0]), len(out[0][0])
-    item_words = sum(map(len, out[0]))
-    packed = [_pack(item, width) for item in out]
+    out = list(items)
     for row in code.parity_rows:
         parity = 0
         for picked in horner_schedule(row):
             parity = gf16.xtime(parity, width, item_words)
             for i in picked:
-                parity ^= packed[i]
-        out.append(_unpack(parity, width, blocks, lanes))
+                parity ^= items[i]
+        out.append(parity)
     return out
 
 
 def hash_encoded(
-    encoded: Sequence[Item],
+    encoded: Sequence[int],
     entropy: Sequence[int],
+    item_blocks: int,
+    block_words: int,
     half_bits: int = 32,
     counter: MultCounter | None = None,
 ) -> list[tuple[int, ...]]:
-    """NH each encoded item down to one block.
+    """NH each encoded item of ``item_blocks`` blocks down to one block.
 
     Item ``i`` is keyed by entropy words ``[i*w, (i+1)*w)``; lane ``j``
-    hashes the item's ``w`` lane-``j`` words.  Each word costs one half-word
-    multiplication, counted once per item.
+    hashes the item's ``w`` lane-``j`` words, every ``b``-th word from word
+    ``j``.  Each word costs one half-word multiplication, counted once per
+    item.
     """
-    w = len(encoded[0])
+    w, b, width = item_blocks, block_words, 2 * half_bits
     out = []
     for i, item in enumerate(encoded):
         keys = entropy[i * w : (i + 1) * w]
-        lanes = zip(*item, strict=True)
-        out.append(tuple([nh_full(lane, keys, half_bits) for lane in lanes]))
+        words = _split(item, width, w * b, width)
+        out.append(tuple([nh_full(words[j::b], keys, half_bits) for j in range(b)]))
         if counter is not None:
-            counter.add("ehc", sum(map(len, item)))
+            counter.add("ehc", len(words))
     return out
 
 
@@ -120,8 +112,7 @@ def combine(
     width, lanes = 2 * half_bits, len(hashed[0])
     # A lane's row sum stays below sum(row) << width.
     stride = width + max(map(sum, matrix.entries)).bit_length()
-    packed = [_pack((block,), stride) for block in hashed]
-    mask = _pack(([(1 << width) - 1 for _ in range(lanes)],), stride)
+    packed = [_pack(block, stride) for block in hashed]
     out = []
     for row in matrix.entries:
         acc = 0
@@ -129,12 +120,12 @@ def combine(
             acc <<= 1
             for i in picked:
                 acc += packed[i]
-        out.append(_unpack(acc & mask, stride, 1, lanes)[0])
+        out.append(tuple(_split(acc, stride, lanes, width)))
     return out
 
 
 def compress_instance(
-    items: Sequence[Item],
+    items: Sequence[int],
     entropy: Sequence[int],
     params: HashParams,
     half_bits: int = 32,
@@ -147,6 +138,7 @@ def compress_instance(
     """
     if len(entropy) < params.entropy_words:
         raise ValueError("entropy region shorter than encoded_items * item_blocks")
-    encoded = encode(items, params.code, 2 * half_bits)
-    hashed = hash_encoded(encoded, entropy, half_bits, counter)
+    w, b = params.item_blocks, params.block_words
+    encoded = encode(items, params.code, 2 * half_bits, w * b)
+    hashed = hash_encoded(encoded, entropy, w, b, half_bits, counter)
     return combine(hashed, params.matrix, half_bits)

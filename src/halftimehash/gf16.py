@@ -8,8 +8,8 @@ verification symbols and full 64-bit words (where one word behaves as 16
 parallel GF(16) elements).
 
 Functions accept plain integers or numpy uint64 arrays; the width mask
-follows from ``width``.  ``xtime`` also steps several words packed into one
-integer, as the scalar encoder packs an item.
+follows from ``width``.  ``xtime`` also steps several words side by side in
+one integer, as a scalar encoder item holds them.
 """
 
 from __future__ import annotations

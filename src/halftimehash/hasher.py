@@ -251,17 +251,15 @@ def _hash_scalar(
     counter: MultCounter | None,
 ) -> Digest:
     k, b, f = params.output_words, params.block_words, params.fanout
-    w, d, m = params.item_blocks, params.instance_items, params.instance_words
-    n_inst, step = layout.instances, 8 * m
+    n_inst, step = layout.instances, 8 * params.instance_words
+    size = 8 * params.item_blocks * b
 
     entropy = seed.words_np(layout.ehc_start, layout.ehc_words).tolist()
     tree_blocks: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
-    for t in range(n_inst):
-        # Each instance's words are loaded when it is reached, so only the
-        # tree's blocks grow with the input.
-        words = words_from_bytes(data[t * step : (t + 1) * step])
-        blocks = [words[j : j + b] for j in range(0, m, b)]
-        items = [blocks[i * w : (i + 1) * w] for i in range(d)]
+    for start in range(0, n_inst * step, step):
+        # Each instance's items are read when it is reached, so only the
+        # tree's blocks grow; a short final item reads as zero-padded.
+        items = [int.from_bytes(data[i : i + size], "little") for i in range(start, start + step, size)]
         combined = ehc_mod.compress_instance(items, entropy, params, 32, counter)
         for r in range(k):
             tree_blocks[r].append(combined[r])

@@ -34,7 +34,8 @@ class DeltaProbe:
 
     ``delta=None`` asks for the worst delta (the full difference
     distribution is measured either way).  ``x``/``y`` are half-word
-    sequences for the nh stage and item structures for the ehc stage.
+    sequences for the nh stage and, for the ehc stage, the instance's items
+    as ints (see :mod:`halftimehash.ehc`), one word each.
     """
 
     x: tuple
@@ -119,13 +120,13 @@ def _ehc_delta_distribution(probe: DeltaProbe) -> tuple[Counter, int]:
     full_bits = 2 * h
     full_mask = (1 << full_bits) - 1
 
+    if params.item_blocks != 1 or params.block_words != 1:
+        raise ValueError("exhaustive ehc probes use single-lane single-block items")
     ex = ehc_mod.encode(probe.x, params.code, full_bits)
     ey = ehc_mod.encode(probe.y, params.code, full_bits)
     differing = [i for i in range(params.encoded_items) if ex[i] != ey[i]]
     if len(differing) < k:
         raise ValueError("encodings differ in fewer than k positions")
-    if len(probe.x[0][0]) != 1 or params.item_blocks != 1:
-        raise ValueError("exhaustive ehc probes use single-lane single-block items")
 
     def diff(entropy):
         cx = ehc_mod.compress_instance(probe.x, entropy, params, h)
@@ -143,8 +144,7 @@ def toy_ehc_probe(matrix_entries=((1, 0, 1), (0, 1, 1))) -> tuple[HashParams, De
     measured_p = analysis.max_two_adic_valuation(matrix, 2)
     code = ErasureCode(2, min_distance=2, parity_rows=((1, 1),))
     toy = HashParams(matrix, code, 1, 1, 2, measured_p)
-    x = (((3,),), ((5,),))
-    y = (((3,),), ((9,),))
+    x, y = (3, 5), (3, 9)
     return toy, DeltaProbe(x, y, None, 4, params=toy, salt=7)
 
 

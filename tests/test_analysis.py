@@ -110,14 +110,14 @@ def _lane_mismatches(code: ErasureCode, n: int = 4096) -> int:
     Lane j of a word holds bits j + 16c for c = 0..3."""
     rng = np.random.default_rng(0x1A4E5)
     words = rng.integers(0, 1 << 64, size=(code.arity_in, n), dtype=np.uint64)
-    wide = np.array(analysis._encode_symbols(code, list(words), 64))
+    wide = np.array(ehc.encode(list(words), code, 64))
 
     def lane(x, j):
         return sum(((x >> np.uint64(j + 16 * c)) & np.uint64(1)) << np.uint64(c) for c in range(4))
 
     return sum(
         not np.array_equal(
-            lane(wide, j), np.array(analysis._encode_symbols(code, list(lane(words, j)), 4))
+            lane(wide, j), np.array(ehc.encode(list(lane(words, j)), code, 4))
         )
         for j in range(16)
     )
@@ -148,9 +148,9 @@ def test_distance_checks_encode_through_ehc(monkeypatch):
     # that really encodes through ehc.encode must reject it.
     real_encode = ehc.encode
 
-    def encode_without_last_parity(items, code, width=64):
-        out = real_encode(items, code, width)
-        return out[:-1] + [tuple(tuple(w & 0 for w in block) for block in out[-1])]
+    def encode_without_last_parity(items, code, width=64, item_words=1):
+        out = real_encode(items, code, width, item_words)
+        return out[:-1] + [out[-1] & 0]
 
     monkeypatch.setattr(ehc, "encode", encode_without_last_parity)
     with pytest.raises(CodeDistanceError):

@@ -6,39 +6,40 @@ import pytest
 from halftimehash import analysis, variant
 from halftimehash.ehc import combine, compress_instance, encode, hash_encoded
 from halftimehash.nh import MultCounter
-from halftimehash.params import VARIANTS
+from halftimehash.params import MASK64, VARIANTS
 
 import reference
 
 
 def _random_items(rnd, d, w, b, width=64):
-    return [
-        tuple(tuple(rnd.getrandbits(width) for _ in range(b)) for _ in range(w))
-        for _ in range(d)
-    ]
+    """``d`` random items of ``w * b`` words, each the integer of its words."""
+    return [rnd.getrandbits(width * w * b) for _ in range(d)]
+
+
+def _word(item, block, lane, b):
+    """Word (block, lane) of a full-width item of ``b`` lanes per block."""
+    return item >> 64 * (block * b + lane) & MASK64
 
 
 def test_encode_xor_parity_appends_xor():
     p = variant(16)
     rnd = random.Random(0)
     items = _random_items(rnd, p.instance_items, p.item_blocks, p.block_words)
-    out = encode(items, p.code)
-    assert out[: p.instance_items] == [tuple(map(tuple, it)) for it in items]
+    out = encode(items, p.code, 64, p.item_blocks * p.block_words)
+    assert out[: p.instance_items] == items
     for t in range(p.item_blocks):
         for u in range(p.block_words):
             expect = 0
             for item in items:
-                expect ^= item[t][u]
-            assert out[-1][t][u] == expect
+                expect ^= _word(item, t, u, p.block_words)
+            assert _word(out[-1], t, u, p.block_words) == expect
 
 
 @pytest.mark.parametrize("width", sorted(VARIANTS))
 def test_encode_systematic_and_linear_zero(width):
     p = variant(width)
-    zero = [((0,) * p.block_words,) * p.item_blocks] * p.instance_items
-    out = encode(zero, p.code)
-    assert len(out) == p.encoded_items
-    assert all(word == 0 for item in out for block in item for word in block)
+    out = encode([0] * p.instance_items, p.code, 64, p.item_blocks * p.block_words)
+    assert out == [0] * p.encoded_items
 
 
 @pytest.mark.parametrize("width", sorted(VARIANTS))
@@ -49,11 +50,10 @@ def test_single_item_difference_spreads(width):
     rnd = random.Random(width)
     for _ in range(50):
         items = _random_items(rnd, p.instance_items, p.item_blocks, p.block_words)
-        other = [list(map(list, it)) for it in items]
-        pos = rnd.randrange(p.instance_items)
-        other[pos][0][0] ^= 1 << rnd.randrange(64)
-        other = [tuple(map(tuple, it)) for it in other]
-        ex, ey = encode(items, p.code), encode(other, p.code)
+        other = list(items)
+        other[rnd.randrange(p.instance_items)] ^= 1 << rnd.randrange(64)
+        n = p.item_blocks * p.block_words
+        ex, ey = encode(items, p.code, 64, n), encode(other, p.code, 64, n)
         differing = sum(ex[i] != ey[i] for i in range(p.encoded_items))
         assert differing >= p.output_words
 
@@ -62,28 +62,28 @@ def test_single_bit_flip_changes_xor_parity_twice():
     p = variant(16)
     rnd = random.Random(3)
     items = _random_items(rnd, p.instance_items, p.item_blocks, p.block_words)
-    other = [list(map(list, it)) for it in items]
-    other[2][1][4] ^= 1 << 17
-    other = [tuple(map(tuple, it)) for it in other]
-    ex, ey = encode(items, p.code), encode(other, p.code)
+    other = list(items)
+    other[2] ^= 1 << 64 * (1 * p.block_words + 4) + 17  # block 1, lane 4, bit 17
+    n = p.item_blocks * p.block_words
+    ex, ey = encode(items, p.code, 64, n), encode(other, p.code, 64, n)
     assert sum(a != b for a, b in zip(ex, ey)) == 2
 
 
 def test_hash_encoded_zero_is_zero():
     p = variant(24)
-    zero = [((0,) * p.block_words,) * p.item_blocks] * p.encoded_items
-    out = hash_encoded(zero, [0] * p.entropy_words)
+    zero = [0] * p.encoded_items
+    out = hash_encoded(zero, [0] * p.entropy_words, p.item_blocks, p.block_words)
     assert all(word == 0 for block in out for word in block)
 
 
 def test_hash_encoded_single_block_items_collapse():
     # w=1: each lane is one (lo+s_lo)(hi+s_hi) product
     rnd = random.Random(4)
-    items = [((rnd.getrandbits(64), rnd.getrandbits(64)),)]
+    lanes = [rnd.getrandbits(64), rnd.getrandbits(64)]
     entropy = [rnd.getrandbits(64)]
-    out = hash_encoded(items, entropy)
+    out = hash_encoded([lanes[0] | lanes[1] << 64], entropy, 1, 2)
     for j in range(2):
-        x, s = items[0][0][j], entropy[0]
+        x, s = lanes[j], entropy[0]
         expect = (((x & 0xFFFFFFFF) + (s & 0xFFFFFFFF)) & 0xFFFFFFFF) * (
             ((x >> 32) + (s >> 32)) & 0xFFFFFFFF
         )
@@ -95,7 +95,7 @@ def test_hash_encoded_matches_scalar_reference():
     rnd = random.Random(5)
     items = _random_items(rnd, p.encoded_items, p.item_blocks, p.block_words)
     entropy = [rnd.getrandbits(64) for _ in range(p.entropy_words)]
-    out = hash_encoded(items, entropy)
+    out = hash_encoded(items, entropy, p.item_blocks, p.block_words)
     w = p.item_blocks
     for i in range(p.encoded_items):
         seed_halves = []
@@ -104,7 +104,7 @@ def test_hash_encoded_matches_scalar_reference():
         for j in range(p.block_words):
             halves = []
             for t in range(w):
-                word = items[i][t][j]
+                word = _word(items[i], t, j, p.block_words)
                 halves += [word & 0xFFFFFFFF, word >> 32]
             assert out[i][j] == reference.nh_direct(halves, seed_halves, 32)
 
@@ -147,14 +147,14 @@ def test_compress_instance_is_composition():
     rnd = random.Random(11)
     items = _random_items(rnd, p.instance_items, p.item_blocks, p.block_words)
     entropy = [rnd.getrandbits(64) for _ in range(p.entropy_words)]
-    staged = combine(hash_encoded(encode(items, p.code), entropy), p.matrix)
+    w, b = p.item_blocks, p.block_words
+    staged = combine(hash_encoded(encode(items, p.code, 64, w * b), entropy, w, b), p.matrix)
     assert compress_instance(items, entropy, p) == staged
 
 
 def test_compress_instance_zero_to_zero():
     p = variant(24)
-    zero = [((0,) * p.block_words,) * p.item_blocks] * p.instance_items
-    out = compress_instance(zero, [0] * p.entropy_words, p)
+    out = compress_instance([0] * p.instance_items, [0] * p.entropy_words, p)
     assert all(word == 0 for block in out for word in block)
 
 
@@ -184,19 +184,21 @@ def test_output_bit_avalanche():
     lane_bits = p.output_words * 64
     for _ in range(trials):
         items = [
-            tuple(
-                tuple(int(v) for v in rng.integers(0, 1 << 64, p.block_words, dtype=np.uint64))
-                for _ in range(p.item_blocks)
+            int.from_bytes(
+                b"".join(
+                    rng.integers(0, 1 << 64, p.block_words, dtype=np.uint64).astype("<u8").tobytes()
+                    for _ in range(p.item_blocks)
+                ),
+                "little",
             )
             for _ in range(p.instance_items)
         ]
         entropy = [int(v) for v in rng.integers(0, 1 << 64, p.entropy_words, dtype=np.uint64)]
-        other = [list(map(list, it)) for it in items]
+        other = list(items)
         i = rng.integers(p.instance_items)
-        t = rng.integers(p.item_blocks)
+        t = int(rng.integers(p.item_blocks))
         u = int(rng.integers(p.block_words))
-        other[i][t][u] ^= 1 << int(rng.integers(64))
-        other = [tuple(map(tuple, it)) for it in other]
+        other[i] ^= 1 << 64 * (t * p.block_words + u) + int(rng.integers(64))
         a = compress_instance(items, entropy, p)
         b = compress_instance(other, entropy, p)
         changed += a != b

@@ -430,6 +430,19 @@ def test_scalar_lanes_equivalence_boundaries(width):
         )
 
 
+def _item_int(words: np.ndarray, bits: int) -> int:
+    """An item as ``ehc`` takes it: its (w, b) words of ``bits`` bits as one
+    int, word ``l`` of the flattened item at bits ``[l * bits, (l + 1) * bits)``."""
+    return sum(word << l * bits for l, word in enumerate(words.ravel().tolist()))
+
+
+def _item_words(item: int, bits: int, shape) -> list:
+    """Inverse of :func:`_item_int`: the item's words as nested lists."""
+    w, b = shape
+    mask = (1 << bits) - 1
+    return [[item >> (t * b + j) * bits & mask for j in range(b)] for t in range(w)]
+
+
 def _draw_words(data, shape) -> np.ndarray:
     """Random uint64 words with all-ones words mixed in, so that adding a
     seed overflows both 32-bit halves of many words."""
@@ -462,11 +475,13 @@ def test_encode_np_matches_scaled_xor(width, data):
     nibbles = inst & np.uint64(15)
 
     def scalar(words, bits):
-        # ehc.encode on Python ints, one call per instance: (2, 3, e, w, b)
-        return np.array(
-            [[ehc.encode(x.tolist(), p.code, bits) for x in row] for row in words],
-            dtype=np.uint64,
-        )
+        # ehc.encode on int items, one call per instance: (2, 3, e, w, b)
+        def encode(x):
+            items = [_item_int(item, bits) for item in x]
+            enc = ehc.encode(items, p.code, bits, p.item_blocks * p.block_words)
+            return [_item_words(item, bits, x.shape[1:]) for item in enc]
+
+        return np.array([[encode(x) for x in row] for row in words], dtype=np.uint64)
 
     octets = inst & np.uint64(255)  # the oracle's words of two 4-bit halves
     cases = [  # (input words, lane width, encoding as (2, 3, e, w, b))
@@ -532,8 +547,34 @@ def test_random_parity_rows_encode_like_scalar_reference(width, data):
     inst = _draw_words(data, (1, 2, d, p.item_blocks, 3))
     enc = hasher._encode_np(inst, q)
     for t in range(inst.shape[1]):
-        want = ehc.encode(inst[0, t].tolist(), q.code)
-        assert [tuple(map(tuple, item)) for item in enc[0, :, t].tolist()] == want
+        items = [_item_int(item, 64) for item in inst[0, t]]
+        want = ehc.encode(items, q.code, 64, p.item_blocks * 3)
+        assert [_item_int(item, 64) for item in enc[0, :, t]] == want
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_scalar_leaf_stage_matches_lanes_leaf_stage(width, data, n):
+    # The two engines' leaf stages meet at the item layout: the scalar
+    # engine reads an item as the integer of its bytes, the lanes engine as
+    # a (w, b) array of words.  Both must give the same combined blocks.
+    p = hh.variant(width)
+    w, b, m = p.item_blocks, p.block_words, p.instance_words
+    words = _draw_words(data, (n * m,))
+    raw = words.astype("<u8").tobytes()
+    entropy = _draw_words(data, (p.entropy_words,))
+    inst = words.reshape(n, p.instance_items, w, b)
+    keys = np.repeat(entropy.reshape(p.encoded_items, 1, w, 1), b, axis=-1)
+    lanes = hasher._combine_np(hasher._leaf_nh_np(hasher._encode_np(inst, p), keys), p)
+    item_bytes = 8 * w * b
+    for t in range(n):
+        items = [
+            int.from_bytes(raw[i : i + item_bytes], "little")
+            for i in range(8 * m * t, 8 * m * (t + 1), item_bytes)
+        ]
+        want = [tuple(block) for block in lanes[:, t].tolist()]
+        assert ehc.compress_instance(items, entropy.tolist(), p) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -739,9 +780,9 @@ def _traced_peak(data, seed, p, engine="lanes") -> int:
 
 @pytest.mark.parametrize("width", sorted(VARIANTS))
 def test_scalar_memory_holds_tree_blocks_not_every_word(width):
-    # The scalar engine loads each instance's words when it reaches it, so
-    # its peak is the tree's k blocks per instance (2.4x the input at v40,
-    # 1.3-1.8x otherwise), not a list of every input word (5.5x the input).
+    # The scalar engine reads each instance's items when it reaches it, so
+    # its peak is the tree's k blocks per instance (2.0x the input at v40,
+    # 0.9-1.3x otherwise), not a list of every input word (5.5x the input).
     data = fill_bytes(2**17 + 3)
     p = hh.variant(width)
     seed = hh.seed_for_input(ZERO_MASTER, p, len(data))

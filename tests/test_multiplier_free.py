@@ -12,7 +12,7 @@ from halftimehash import ehc, gf16, hasher, params
 ENCODE_AND_COMBINE_FUNCTIONS = [
     ehc.encode,
     ehc._pack,
-    ehc._unpack,
+    ehc._split,
     hasher._encode_np,
     gf16._lane_masks,
     gf16.xtime,

@@ -40,14 +40,19 @@ def test_nh_width4_bound_random_probes():
         assert res.probability <= bound
 
 
-def test_nh_width4_specific_delta_never_exceeds_worst():
-    rng = np.random.default_rng(41)
+def test_nh_width4_delta_probabilities_are_the_distribution():
+    # Every 8-bit delta's probability, read one delta at a time, must add up
+    # to 1 and peak at the worst-delta result; a lookup of the wrong entry
+    # breaks one or the other.
     x = (3, 7, 1, 2)
     y = (9, 7, 1, 2)
     worst = max_delta_probability("nh", DeltaProbe(x, y, None, 4)).probability
-    for delta in rng.integers(0, 256, size=16):
-        res = max_delta_probability("nh", DeltaProbe(x, y, int(delta), 4))
-        assert res.probability <= worst
+    probs = [
+        max_delta_probability("nh", DeltaProbe(x, y, delta, 4)).probability
+        for delta in range(256)
+    ]
+    assert sum(probs) == 1
+    assert max(probs) == worst
 
 
 def test_unknown_stage_rejected():
