@@ -176,16 +176,16 @@ class EntropyReport:
     ``tree_height`` is the ceiling reading used by the shipped reports;
     the floor reading is carried alongside for comparison.  ``seed_words``
     and ``seed_bytes`` are what hashing this length demands
-    (:func:`halftimehash.hasher.seed_layout`).  ``seed_words_paper`` and
-    ``seed_words_floor`` are the paper's budget at the ceiling and floor
-    heights, with at least the one level the finalize always keys; the
-    paper figure falls short of the demand where the stack keeps one level
-    more, as at exact powers of the fanout.  The ``multiplications``
-    field is the closed-form leading term; the exact structural count
-    appears in ``multiplications_exact`` with the logarithmic remainder in
-    ``multiplications_log_term``.  Every seed word derives from a
-    ``key_bits``-bit key, so no bound below 2^-key_bits holds for every
-    pair of inputs: ``epsilon_log2_keyed`` caps the formula's figure there.
+    (:func:`halftimehash.hasher.seed_layout`).  ``seed_words_paper`` is
+    the paper's budget at the ceiling height, with at least the one level
+    the finalize always keys; it falls short of the demand where the stack
+    keeps one level more, as at exact powers of the fanout.  The
+    ``multiplications`` field is the closed-form leading term; the exact
+    structural count appears in ``multiplications_exact`` with the
+    logarithmic remainder in ``multiplications_log_term``.  Every seed
+    word derives from a ``key_bits``-bit key, so no bound below
+    2^-key_bits holds for every pair of inputs: ``epsilon_log2_keyed``
+    caps the formula's figure there.
     """
 
     output_bytes: int
@@ -198,11 +198,9 @@ class EntropyReport:
     seed_words: int
     seed_bytes: int
     seed_words_paper: int
-    seed_words_floor: int
     multiplications: int
     multiplications_exact: int
     multiplications_log_term: int
-    ehc_multiplications: int
 
 
 def entropy_report(params: HashParams, n_bytes: int) -> EntropyReport:
@@ -235,11 +233,9 @@ def entropy_report(params: HashParams, n_bytes: int) -> EntropyReport:
         seed_words=layout.total_words,
         seed_bytes=8 * layout.total_words,
         seed_words_paper=seed_words_for_levels(params, max(h, 1)),
-        seed_words_floor=seed_words_for_levels(params, max(h_floor, 1)),
         multiplications=leading,
         multiplications_exact=exact,
         multiplications_log_term=exact - leading,
-        ehc_multiplications=ehc_mults,
     )
 
 

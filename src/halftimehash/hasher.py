@@ -12,7 +12,10 @@ rows, and then its combine rows, step together on one level-synchronous
 ``horner_schedule``.  The leaf NH works inside the encoded run, and each
 run's arrays are freed before the next run is read.  Between runs each
 tree level keeps fewer than f blocks, so the memory it needs beyond the
-input is bounded by the run size, however long the input.  The finalize
+input is bounded by the run size, however long the input.  The scalar
+path pushes each instance's k blocks into the trees as soon as the
+instance is compressed, so it too keeps fewer than f blocks per level,
+and reads the tail's words as it reads the items.  The finalize
 and the tail then share one NH pass: tree r's row holds its finalize words
 and the tail words, keyed with its finalize key and window r of the
 Toeplitz tail key, so the k digest words come from one NH.  Both engines
@@ -211,17 +214,6 @@ def _byte_view(data) -> memoryview:
     return view.cast("B") if view.nbytes else memoryview(b"")
 
 
-def words_from_bytes(data) -> list[int]:
-    """The little-endian 64-bit words of ``data`` as a list of ints, the
-    final partial word zero-padded.  The whole words are read in place
-    through :func:`_words_np_from_bytes`, so the input is never copied."""
-    view = _byte_view(data)
-    words = _words_np_from_bytes(view).tolist()
-    if len(view) % 8:
-        words.append(int.from_bytes(view[len(view) & ~7 :], "little"))
-    return words
-
-
 def hash_remainder(
     tail: Sequence[int],
     remainder_words: Sequence[int],
@@ -254,32 +246,26 @@ def _hash_scalar(
     n_inst, step = layout.instances, 8 * params.instance_words
     size = 8 * params.item_blocks * b
 
+    tree_per, fin_per = layout.tree_words_per_tree, layout.finalize_words_per_tree
+    tree_seeds = [seed.words_np(layout.tree_start + r * tree_per, tree_per).tolist() for r in range(k)]
     entropy = seed.words_np(layout.ehc_start, layout.ehc_words).tolist()
-    tree_blocks: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
+    stacks: list[tree_mod.LevelStack] = [[] for _ in range(k)]
     for start in range(0, n_inst * step, step):
-        # Each instance's items are read when it is reached, so only the
-        # tree's blocks grow; a short final item reads as zero-padded.
+        # Each instance's items are read when it is reached and its k blocks
+        # go into the trees at once, so each tree level keeps fewer than f
+        # blocks; a short final item reads as zero-padded.
         items = [int.from_bytes(data[i : i + size], "little") for i in range(start, start + step, size)]
         combined = ehc_mod.compress_instance(items, entropy, params, 32, counter)
-        for r in range(k):
-            tree_blocks[r].append(combined[r])
+        for stack, block, level_seeds in zip(stacks, combined, tree_seeds):
+            tree_mod.tree_reduce(stack, [block], level_seeds, f, 32, counter)
 
     out_words = []
-    for r in range(k):
-        level_seeds = seed.words_np(
-            layout.tree_start + r * layout.tree_words_per_tree,
-            layout.tree_words_per_tree,
-        ).tolist()
-        levels = tree_mod.tree_reduce(tree_blocks[r], level_seeds, f, 32, counter)
-        fin_seed = seed.words_np(
-            layout.finalize_start + r * layout.finalize_words_per_tree,
-            layout.finalize_words_per_tree,
-        ).tolist()
-        out_words.append(
-            tree_mod.tree_finalize(levels, len(data), fin_seed, f, b, 32, counter)
-        )
+    for r, levels in enumerate(stacks):
+        fin_seed = seed.words_np(layout.finalize_start + r * fin_per, fin_per).tolist()
+        out_words.append(tree_mod.tree_finalize(levels, len(data), fin_seed, f, b, 32, counter))
 
-    tail = words_from_bytes(data[n_inst * step :])
+    # The tail's words are read like the items, the final one zero-padded.
+    tail = [int.from_bytes(data[i : i + 8], "little") for i in range(n_inst * step, len(data), 8)]
     rem_words = seed.words_np(layout.remainder_start, layout.remainder_words).tolist()
     rem = hash_remainder(tail, rem_words, k, 32, counter)
     return Digest(tuple((out_words[r] + rem[r]) & MASK64 for r in range(k)))

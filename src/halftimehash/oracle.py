@@ -222,8 +222,8 @@ def tree_collision_estimate(
         y_blocks = [(v,) for v in ys]
         collided = True
         for seeds in seeds_all[t]:
-            rx = tree_mod.tree_reduce(x_blocks, seeds, fanout, half_bits)
-            ry = tree_mod.tree_reduce(y_blocks, seeds, fanout, half_bits)
+            rx = tree_mod.tree_reduce([], x_blocks, seeds, fanout, half_bits)
+            ry = tree_mod.tree_reduce([], y_blocks, seeds, fanout, half_bits)
             if rx != ry:
                 collided = False
                 break

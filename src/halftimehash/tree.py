@@ -1,12 +1,15 @@
 """Carter-Wegman tree hashing over blocks with NH nodes.
 
-``tree_reduce`` reduces N blocks level by level: each level keeps its last
-``len % fanout`` blocks as leftovers and merges every group of ``fanout``
-blocks before them with one ``nh_blockwise`` node into the next level.  So
-level ``i`` keeps exactly ``digit_i(N base fanout)`` leftover roots, each
-the hash of ``fanout**i`` consecutive input blocks, and zero blocks leave
-zero levels.  ``tree_finalize`` then folds the leftovers and the input
-length into a single word with one NH application.
+A tree is a stack of leftover blocks per level, onto which ``tree_reduce``
+pushes blocks as they arrive.  Per level, the leftovers go in front of the
+arriving blocks, the last ``len % fanout`` stay, and every group of
+``fanout`` before them merges with one ``nh_blockwise`` node into the next
+level, which is added when a merge first reaches it.  Groups are
+consecutive from the first block, so however N blocks are split into
+pushes, level ``i`` keeps exactly ``digit_i(N base fanout)`` leftover
+roots, each the hash of ``fanout**i`` consecutive input blocks, and zero
+blocks leave zero levels.  ``tree_finalize`` then folds the leftovers and
+the input length into a single word with one NH application.
 """
 
 from __future__ import annotations
@@ -64,30 +67,37 @@ def _level_seed(level_seeds: Sequence[int], level: int, fanout: int) -> Sequence
 
 
 def tree_reduce(
+    levels: LevelStack,
     blocks: Iterable[Block],
     level_seeds: Sequence[int],
     fanout: int,
     half_bits: int = 32,
     counter: MultCounter | None = None,
 ) -> LevelStack:
-    """Reduce blocks to per-level leftovers, one level at a time.
+    """Push ``blocks`` onto the leftover stack ``levels``, which then holds
+    fewer than ``fanout`` blocks per level, and return it; a one-shot
+    reduce pushes onto ``[]``.
 
     Seeds are consumed per level only: the merges producing level-(i+1)
     blocks use words ``level_seeds[i*(f-1), (i+1)*(f-1))``, read only if
     level i merges.
     """
-    blocks = [tuple(block) for block in blocks]
-    levels: LevelStack = []
+    blocks = list(blocks)
+    level = 0
     while blocks:
+        if level == len(levels):
+            levels.append([])
+        blocks = levels[level] + blocks
         cut = len(blocks) - len(blocks) % fanout
-        levels.append(blocks[cut:])
+        levels[level] = blocks[cut:]
         if not cut:
             break
-        seed = _level_seed(level_seeds, len(levels) - 1, fanout)
+        seed = _level_seed(level_seeds, level, fanout)
         blocks = [
             nh_blockwise(blocks[i : i + fanout], seed, fanout, half_bits, counter, "tree")
             for i in range(0, cut, fanout)
         ]
+        level += 1
     return levels
 
 

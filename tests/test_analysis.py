@@ -18,6 +18,7 @@ from halftimehash.analysis import (
     two_adic_valuation,
     verify_min_distance,
 )
+from halftimehash.hasher import seed_words_for_levels
 from halftimehash.nh import MultCounter
 from halftimehash.params import VARIANTS, ErasureCode, TransformMatrix, _cauchy_code
 
@@ -231,13 +232,13 @@ def test_entropy_report_floor_and_ceiling_exposed():
     p = variant(24)
     r = entropy_report(p, 2**20)
     assert (r.tree_height, r.tree_height_floor) == (4, 3)
-    assert r.seed_words > r.seed_words_floor
+    assert r.seed_words > seed_words_for_levels(p, r.tree_height_floor)
 
 
 def test_entropy_report_small_input_h_zero():
     r = entropy_report(variant(16), 1)
     assert r.tree_height == 0
-    assert r.seed_words == r.seed_words_floor
+    assert r.seed_words == seed_words_for_levels(variant(16), 1)
     with pytest.raises(ValueError):
         entropy_report(variant(16), 0)
 
@@ -289,7 +290,6 @@ def test_multiplication_fields_consistent():
     assert r.multiplications == (p.entropy_words + p.output_words) * p.block_words * n_inst
     assert r.multiplications_exact == r.multiplications + r.multiplications_log_term
     assert 0 < r.multiplications_log_term < 10_000
-    assert r.ehc_multiplications / r.multiplications_exact > 0.8
 
 
 @pytest.mark.parametrize("width", sorted(VARIANTS))

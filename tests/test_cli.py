@@ -335,6 +335,15 @@ def test_vectors_detect_corruption(capsys, tmp_path):
     assert "disagree" in err
 
 
+def test_committed_vectors_check(capsys):
+    # The 64 records were emitted once and committed, so a digest change
+    # fails here even though it would round-trip through --emit.
+    path = os.path.join(os.path.dirname(__file__), "vectors.txt")
+    code, out, _ = run(capsys, "vectors", "--check", path)
+    assert code == 0
+    assert out == "64 vector records verified\n"
+
+
 def test_vector_records_rederivable(tmp_path, capsys):
     # a record is reproducible from its first four fields
     path = tmp_path / "v.txt"

@@ -97,7 +97,7 @@ def test_ehc_probe_requires_params():
 def test_tree_collision_constant_tree_always_collides_and_fails(monkeypatch):
     # A tree that ignores its blocks makes every pair collide: the estimator
     # must count each such trial and judge the rate far above the bound.
-    monkeypatch.setattr(tree, "tree_reduce", lambda blocks, seeds, fanout, half_bits: [[(7,)]])
+    monkeypatch.setattr(tree, "tree_reduce", lambda levels, blocks, seeds, fanout, half_bits: [[(7,)]])
     res = tree_collision_estimate(8, 4, 1, 1, trials=200)
     assert res.collisions == res.trials == 200
     assert res.estimate == 1.0

@@ -21,7 +21,7 @@ def _random_blocks(rnd, n, b, width=16):
 
 
 def test_single_block_passes_through():
-    levels = tree_reduce([(7, 8)], [], fanout=8)
+    levels = tree_reduce([], [(7, 8)], [], fanout=8)
     assert levels == [[(7, 8)]]
 
 
@@ -30,36 +30,35 @@ def test_full_node_at_fanout():
     f, b = 8, 4
     blocks = _random_blocks(rnd, f, b, 64)
     seeds = [rnd.getrandbits(64) for _ in range(f - 1)]
-    levels = tree_reduce(blocks, seeds, f)
+    levels = tree_reduce([], blocks, seeds, f)
     assert levels[0] == []
     assert levels[1] == [nh_blockwise(blocks, seeds, f)]
 
 
 def test_empty_stream_leaves_no_levels():
-    assert tree_reduce([], [], fanout=8) == []
-    assert tree_reduce(iter([]), [0] * 7, fanout=8) == []
+    assert tree_reduce([], [], [], fanout=8) == []
+    assert tree_reduce([], iter([]), [0] * 7, fanout=8) == []
 
 
 def test_generator_of_blocks_is_reduced():
     rnd = random.Random(8)
     blocks = _random_blocks(rnd, 9, 2, 16)
     seeds = [rnd.getrandbits(16) for _ in range(3)]
-    assert tree_reduce(iter(blocks), seeds, 2, half_bits=8) == tree_reduce(
-        blocks, seeds, 2, half_bits=8
-    )
+    want = tree_reduce([], blocks, seeds, 2, half_bits=8)
+    assert tree_reduce([], iter(blocks), seeds, 2, half_bits=8) == want
 
 
 def test_missing_level_seed_raises():
     blocks = [(1,)] * 4
     with pytest.raises(ValueError, match="no seed words for tree level 2"):
-        tree_reduce(blocks, [5], fanout=2, half_bits=8)
+        tree_reduce([], blocks, [5], fanout=2, half_bits=8)
 
 
 def test_binary_n5_slot_pattern():
     rnd = random.Random(2)
     blocks = _random_blocks(rnd, 5, 2, 16)
     seeds = [rnd.getrandbits(16) for _ in range(3)]
-    levels = tree_reduce(blocks, seeds, 2, half_bits=8)
+    levels = tree_reduce([], blocks, seeds, 2, half_bits=8)
     # 5 = 101b: slots at levels 0 and 2, level 1 empty
     assert [len(lvl) for lvl in levels] == [1, 0, 1]
 
@@ -79,7 +78,7 @@ def test_binary_stack_matches_recursive_oracle(n):
     rnd = random.Random(100 + n)
     blocks = _random_blocks(rnd, n, 2, 16)
     seeds = [rnd.getrandbits(16) for _ in range(8)]
-    levels = tree_reduce(blocks, seeds, 2, half_bits=8)
+    levels = tree_reduce([], blocks, seeds, 2, half_bits=8)
     assert levels == reference.fary_stack(blocks, seeds, _direct_node, 8, 2)
     assert len(levels) == level_count(n, 2)
 
@@ -101,8 +100,28 @@ def test_tree_reduce_matches_fary_oracle(f, data):
     rnd = random.Random(data.draw(st.integers(0, 2**32), label="rng"))
     blocks = _random_blocks(rnd, n, b, 16)
     seeds = [rnd.getrandbits(16) for _ in range((f - 1) * max(level_count(n, f) - 1, 0))]
-    levels = tree_reduce(blocks, seeds, f, half_bits=8)
+    levels = tree_reduce([], blocks, seeds, f, half_bits=8)
     assert levels == reference.fary_stack(blocks, seeds, _direct_node, 8, f)
+
+
+@pytest.mark.parametrize("f", [2, 3, 8])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pushed_chunks_build_the_one_shot_stack(f, data):
+    # However the blocks are split into pushes, the stack and the tree's
+    # multiplication count are those of one push of all of them.
+    n = data.draw(st.integers(0, f**3 + 1), label="n")
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=8), label="cuts"))
+    rnd = random.Random(data.draw(st.integers(0, 2**32), label="rng"))
+    blocks = _random_blocks(rnd, n, 1, 16)
+    seeds = [rnd.getrandbits(16) for _ in range(3 * (f - 1))]
+    whole, pushed = MultCounter(), MultCounter()
+    want = tree_reduce([], blocks, seeds, f, half_bits=8, counter=whole)
+    stack = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        assert tree_reduce(stack, blocks[lo:hi], seeds, f, half_bits=8, counter=pushed) is stack
+    assert stack == want == reference.fary_stack(blocks, seeds, _direct_node, 8, f)
+    assert pushed.by_stage.get("tree") == whole.by_stage.get("tree")
 
 
 def test_fary_leftovers_match_digits():
@@ -110,7 +129,7 @@ def test_fary_leftovers_match_digits():
     for n in (1, 7, 8, 9, 63, 64, 65, 100, 511, 73):
         blocks = _random_blocks(rnd, n, 1, 16)
         seeds = [rnd.getrandbits(16) for _ in range(21)]
-        levels = tree_reduce(blocks, seeds, 8, half_bits=8)
+        levels = tree_reduce([], blocks, seeds, 8, half_bits=8)
         digits = []
         m = n
         while True:
@@ -127,7 +146,7 @@ def test_node_execution_count():
         blocks = _random_blocks(rnd, n, 1, 16)
         seeds = [rnd.getrandbits(16) for _ in range(4 * (f - 1))]
         c = MultCounter()
-        tree_reduce(blocks, seeds, f, half_bits=8, counter=c)
+        tree_reduce([], blocks, seeds, f, half_bits=8, counter=c)
         per_node = f - 1  # products per lane per node, 1 lane here
         assert c.total == node_executions(n, f) * per_node
         expected = 0
@@ -147,13 +166,13 @@ def test_seeds_depend_on_level_only():
     rnd = random.Random(5)
     blocks = _random_blocks(rnd, 64, 2, 16)
     seeds = [rnd.getrandbits(16) for _ in range(6)]
-    base = tree_reduce(blocks, seeds, 2, half_bits=8)
+    base = tree_reduce([], blocks, seeds, 2, half_bits=8)
     # altering seed words for levels beyond the ones used changes nothing
     padded = seeds[:] + [123, 456]
-    assert tree_reduce(blocks, padded, 2, half_bits=8) == base
+    assert tree_reduce([], blocks, padded, 2, half_bits=8) == base
     # altering the level-0 seed changes the reduction
     bumped = [seeds[0] ^ 1] + seeds[1:]
-    assert tree_reduce(blocks, bumped, 2, half_bits=8) != base
+    assert tree_reduce([], blocks, bumped, 2, half_bits=8) != base
 
 
 def test_tree_height_examples():
