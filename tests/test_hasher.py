@@ -1,6 +1,7 @@
 import dataclasses
 import mmap
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -302,7 +303,7 @@ def test_oversized_seed_gives_same_digest():
     assert exact == big
 
 
-def test_scalar_tail_words_are_little_endian_zero_padded():
+def test_words_from_bytes_little_endian_zero_pad():
     # Nine bytes read as the words 1 and 255: the digest is the finalize NH
     # of the length tag plus the tail NH of those two words.
     p = hh.variant(24)
@@ -329,14 +330,30 @@ LOAD_KINDS = {
 
 @pytest.mark.parametrize("kind", sorted(LOAD_KINDS))
 @pytest.mark.parametrize("n", list(range(18)) + [8 * m + e for m in (3, 64, 1001) for e in (-1, 1)])
-def test_scalar_tail_words_match_lanes(kind, n):
-    # Every tail length up to two words, and tails after 0 and 5 instances
-    # that end one byte either side of a word.
+def test_words_from_bytes_matches_per_word_from_bytes(kind, n):
+    # The scalar engine reads words with int.from_bytes on 8-byte slices of
+    # the input; checked against the lanes engine on bytes at every tail
+    # length up to two words, and at tails after 0 and 5 instances that end
+    # one byte either side of a word.
     p = hh.variant(24)
     data = fill_bytes(n)
     seed = hh.seed_for_input(RANGE_MASTER, p, n)
     want = hh.hash_bytes(bytes(data), seed, p)
     assert hh.hash_bytes(LOAD_KINDS[kind](data), seed, p, engine="scalar") == want
+
+
+@pytest.mark.parametrize("n", [2**15, 2**15 + 5])
+def test_words_from_bytes_never_copies_its_input(n):
+    # The scalar engine reads its words from slices of the input in place.
+    # Its traced peak is the seed words it holds as Python ints plus a few
+    # KiB of items and blocks; a (padded) copy of the input would add n.
+    p = hh.variant(24)
+    data = fill_bytes(n)
+    seed = hh.seed_for_input(ZERO_MASTER, p, n)
+    total = seed_layout(p, n).total_words
+    own = sum(map(sys.getsizeof, seed.words_np(0, total).tolist())) + 8 * total
+    for kind in sorted(LOAD_KINDS):
+        assert _traced_peak(LOAD_KINDS[kind](data), seed, p, "scalar") < own + n // 2
 
 
 def _mmap_holding(data: bytes) -> mmap.mmap:
