@@ -14,8 +14,7 @@ import stat
 import statistics
 import sys
 import time
-
-import numpy as np
+from collections import Counter
 
 from . import analysis, oracle
 from .hasher import _stream_words_np, hash_bytes, seed_for_input
@@ -106,54 +105,9 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _verify_properties(quick: bool):
-    """Yield (name, ok, detail) for every checked property."""
-    for width, params in sorted(VARIANTS.items()):
-        try:
-            p = analysis.max_two_adic_valuation(params.matrix, params.output_words)
-            ok = p == params.max_det_valuation
-            detail = f"measured 2^{p}, stored 2^{params.max_det_valuation}"
-        except analysis.SingularSubsetError as exc:
-            ok, detail = False, str(exc)
-        yield f"matrix-valuation-{width}", ok, detail
-
-    trials = 10**4 if quick else 10**6
-    for width, params in sorted(VARIANTS.items()):
-        try:
-            dist = analysis.verify_min_distance(params.code, trials=trials)
-            ok = dist >= params.output_words
-            detail = f"measured distance {dist}, need >= {params.output_words}"
-        except analysis.CodeDistanceError as exc:
-            ok, detail = False, str(exc)
-        yield f"code-distance-{width}", ok, detail
-
-    rng = np.random.default_rng(0xA11CE)
-    probes = 10 if quick else 100
-    bound = 2.0**-4
-    worst = 0.0
-    for _ in range(probes):
-        x = tuple(int(v) for v in rng.integers(0, 16, size=4))
-        y = tuple(int(v) for v in rng.integers(0, 16, size=4))
-        if x == y:
-            y = (y[0] ^ 1,) + y[1:]
-        res = oracle.max_delta_probability(
-            "nh", oracle.DeltaProbe(x, y, None, 4, salt=int(rng.integers(1 << 32)))
-        )
-        worst = max(worst, res.probability)
-    yield "nh-delta-universality-w4", worst <= bound, f"max {worst:.6f} vs bound {bound:.6f}"
-
-    if not quick:
-        toy, probe = oracle.toy_ehc_probe()
-        res = oracle.max_delta_probability("ehc", probe)
-        b = 2.0 ** -analysis.ehc_bound(toy, 4)
-        yield "ehc-delta-universality-w4", res.probability <= b, (
-            f"max {res.probability:.6f} vs bound {b:.6f}"
-        )
-
-
 def cmd_verify(args) -> int:
     failures = []
-    for name, ok, detail in _verify_properties(args.quick):
+    for name, ok, detail in oracle.verify_properties(args.quick):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         if not ok:
             failures.append(name)
@@ -209,18 +163,18 @@ def cmd_vectors(args) -> int:
                 fh.write(line + "\n")
         return 0
     with open(args.check) as fh:
-        recorded = [line.strip() for line in fh if line.strip()]
-    expected = list(_vector_records())
-    expected_set, recorded_set = set(expected), set(recorded)
-    bad = [line for line in recorded if line not in expected_set]
-    missing = [line for line in expected if line not in recorded_set]
+        recorded = Counter(line.strip() for line in fh if line.strip())
+    expected = Counter(_vector_records())
+    # Multisets: each extra copy of a record is a mismatch too.
+    bad = list((recorded - expected).elements())
+    missing = list((expected - recorded).elements())
     if bad or missing:
         for line in bad:
             print(f"mismatch: {line}")
         for line in missing:
             print(f"missing:  {line}")
         raise CheckFailure(f"{len(bad) + len(missing)} vector records disagree")
-    print(f"{len(recorded)} vector records verified")
+    print(f"{recorded.total()} vector records verified")
     return 0
 
 

@@ -68,20 +68,16 @@ def test_criterion_3_nh_delta_universality_desk_scale():
         y = tuple(int(v) for v in rng.integers(0, 16, size=4))
         if x == y:
             y = (y[0] ^ 1,) + y[1:]
-        res = oracle.max_delta_probability(
-            "nh", oracle.DeltaProbe(x, y, None, 4, salt=i + 1)
-        )
-        worst = max(worst, res.probability)
+        dist = oracle.nh_delta_distribution(x, y, 4, salt=i + 1)
+        worst = max(worst, oracle.worst_probability(dist))
     # all deltas at once on 10 probes: the full difference distribution may
     # not put more than bound * 2^8 mass on any value
     all_delta_worst = 0.0
     for i in range(10):
         x = tuple(int(v) for v in rng.integers(0, 16, size=4))
         y = (x[0] ^ int(rng.integers(1, 16)),) + x[1:]
-        res = oracle.max_delta_probability(
-            "nh", oracle.DeltaProbe(x, y, None, 4, salt=1000 + i)
-        )
-        all_delta_worst = max(all_delta_worst, res.probability)
+        dist = oracle.nh_delta_distribution(x, y, 4, salt=1000 + i)
+        all_delta_worst = max(all_delta_worst, oracle.worst_probability(dist))
     ok = worst <= bound and all_delta_worst <= bound
     _verdict(
         3,
@@ -98,13 +94,15 @@ def test_criterion_4_generalized_ehc_desk_scale():
     details = []
     ok = True
     for entries in (((1, 0, 1), (0, 1, 1)), ((1, 1, 0), (1, 3, 2))):
-        toy, probe = oracle.toy_ehc_probe(entries)
-        res = oracle.max_delta_probability("ehc", probe)
-        bound = 2.0 ** (toy.output_words * (toy.max_det_valuation - 4))
-        ok &= res.probability <= bound
-        details.append(
-            f"p={toy.max_det_valuation}: {res.probability:.6f} <= {bound:.6f}"
+        toy = oracle.toy_ehc_params(entries)
+        worst = oracle.worst_probability(
+            oracle.ehc_delta_distribution(
+                toy, oracle.TOY_X, oracle.TOY_Y, 4, salt=oracle.TOY_SALT
+            )
         )
+        bound = 2.0 ** (toy.output_words * (toy.max_det_valuation - 4))
+        ok &= worst <= bound
+        details.append(f"p={toy.max_det_valuation}: {worst:.6f} <= {bound:.6f}")
     _verdict(
         4,
         ok,

@@ -6,6 +6,7 @@ import os
 import pytest
 
 import halftimehash as hh
+from halftimehash import analysis
 from halftimehash.cli import _read_input, fill_bytes, main, parse_size
 
 GOLDEN_EMPTY_24 = "f76f757856e9c252a8a1ce42dc0e2a5df09d621286a62a2d"
@@ -233,6 +234,49 @@ def test_verify_quick_stdout_pinned(capsys):
     assert out == VERIFY_QUICK_STDOUT
 
 
+# The full output of ``verify``: 10^6 code-distance trials, 100 NH probes
+# and the leaf-stage probe.
+VERIFY_STDOUT = VERIFY_QUICK_STDOUT.replace(
+    "all properties hold\n",
+    "PASS ehc-delta-universality-w4: max 0.003906 vs bound 0.003906\n"
+    "all properties hold\n",
+)
+
+
+def test_verify_stdout_pinned(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert out == VERIFY_STDOUT
+
+
+def test_verify_reports_failed_properties(capsys, monkeypatch):
+    # The properties look their checks up on the analysis module, so a
+    # wrong valuation and a short code distance both surface as FAIL lines.
+    real_valuation = analysis.max_two_adic_valuation
+
+    def short_distance(code, trials):
+        raise analysis.CodeDistanceError("measured distance 1, declared 2")
+
+    monkeypatch.setattr(
+        analysis, "max_two_adic_valuation", lambda m, k: real_valuation(m, k) + 1
+    )
+    monkeypatch.setattr(analysis, "verify_min_distance", short_distance)
+    code, out, err = run(capsys, "verify", "--quick")
+    assert code == 1
+    lines = out.splitlines()
+    widths = (16, 24, 32, 40)
+    for width in widths:
+        stored = hh.variant(width).max_det_valuation
+        assert (
+            f"FAIL matrix-valuation-{width}: measured 2^{stored + 1}, stored 2^{stored}"
+            in lines
+        )
+        assert f"FAIL code-distance-{width}: measured distance 1, declared 2" in lines
+    assert "all properties hold" not in lines
+    names = [f"{kind}-{w}" for kind in ("matrix-valuation", "code-distance") for w in widths]
+    assert err == "failed properties: " + ", ".join(names) + "\n"
+
+
 def _pinned_lengths(p):
     """1 B, one instance (m8 bytes) and its neighbours, f instances, 1M, 1E."""
     m8 = 8 * p.instance_words
@@ -333,6 +377,18 @@ def test_vectors_detect_corruption(capsys, tmp_path):
     assert code == 1
     assert "mismatch" in out
     assert "disagree" in err
+
+
+def test_vectors_detect_duplicated_record(capsys, tmp_path):
+    # Every record, plus one repeated line: the extra copy is a mismatch.
+    path = tmp_path / "vectors.txt"
+    run(capsys, "vectors", "--emit", str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[5]]) + "\n")
+    code, out, err = run(capsys, "vectors", "--check", str(path))
+    assert code == 1
+    assert out == f"mismatch: {lines[5]}\n"
+    assert err == "1 vector records disagree\n"
 
 
 def test_committed_vectors_check(capsys):

@@ -2,20 +2,23 @@ import numpy as np
 import pytest
 
 from halftimehash import ehc, oracle, tree
-from halftimehash.oracle import DeltaProbe, max_delta_probability, tree_collision_estimate
+from halftimehash.oracle import (
+    ehc_delta_distribution,
+    nh_delta_distribution,
+    tree_collision_estimate,
+    worst_probability,
+)
 
 import reference
 
 
-def test_identical_inputs_probability_one():
-    probe = DeltaProbe((1, 2), (1, 2), 0, 4)
-    res = max_delta_probability("nh", probe)
-    assert res.probability == 1.0
-
-
-def test_identical_inputs_nonzero_delta_rejected():
-    with pytest.raises(ValueError):
-        DeltaProbe((1, 2), (1, 2), 5, 4)
+def test_identical_inputs_refused():
+    # Identical inputs have no differing position to enumerate.
+    with pytest.raises(ValueError, match="inputs are identical"):
+        nh_delta_distribution((1, 2), (1, 2), 4)
+    toy = oracle.toy_ehc_params()
+    with pytest.raises(ValueError, match="fewer than k positions"):
+        ehc_delta_distribution(toy, oracle.TOY_X, oracle.TOY_X, 4)
 
 
 @pytest.mark.parametrize("salt", [0, 7, 2**40 + 3, 2**64 - 1, -1])
@@ -35,39 +38,31 @@ def test_nh_width4_bound_random_probes():
         y = tuple(int(v) for v in rng.integers(0, 16, size=4))
         if x == y:
             y = (y[0] ^ 3,) + y[1:]
-        res = max_delta_probability("nh", DeltaProbe(x, y, None, 4, salt=i))
-        assert res.seeds_probed == 256
-        assert res.probability <= bound
+        dist = nh_delta_distribution(x, y, 4, salt=i)
+        assert dist.total() == 256
+        assert worst_probability(dist) <= bound
 
 
 def test_nh_width4_delta_probabilities_are_the_distribution():
-    # Every 8-bit delta's probability, read one delta at a time, must add up
-    # to 1 and peak at the worst-delta result; a lookup of the wrong entry
-    # breaks one or the other.
+    # The distribution holds only 8-bit deltas, its per-delta probabilities
+    # over the 256 seeds add up to 1, and their peak is worst_probability.
     x = (3, 7, 1, 2)
     y = (9, 7, 1, 2)
-    worst = max_delta_probability("nh", DeltaProbe(x, y, None, 4)).probability
-    probs = [
-        max_delta_probability("nh", DeltaProbe(x, y, delta, 4)).probability
-        for delta in range(256)
-    ]
+    dist = nh_delta_distribution(x, y, 4)
+    assert set(dist) <= set(range(256))
+    probs = [dist[delta] / 256 for delta in range(256)]
     assert sum(probs) == 1
-    assert max(probs) == worst
-
-
-def test_unknown_stage_rejected():
-    with pytest.raises(ValueError):
-        max_delta_probability("tree", DeltaProbe((1,), (2,), None, 4))
+    assert max(probs) == worst_probability(dist)
 
 
 def test_ehc_toy_meets_scaled_adu_bound():
-    toy, probe = oracle.toy_ehc_probe()
-    res = max_delta_probability("ehc", probe)
+    toy = oracle.toy_ehc_params()
+    dist = ehc_delta_distribution(toy, oracle.TOY_X, oracle.TOY_Y, 4, salt=oracle.TOY_SALT)
     bound = 2.0 ** (toy.output_words * (toy.max_det_valuation - 4))
-    assert res.seeds_probed == 2**16
-    assert res.probability <= bound
+    assert dist.total() == 2**16
+    assert worst_probability(dist) <= bound
     # 256 of the 65,536 enumerated seeds hit the worst delta
-    assert res.probability == 2**-8
+    assert worst_probability(dist) == 2**-8
 
 
 def test_ehc_probe_runs_the_reference_leaf_stage(monkeypatch):
@@ -76,22 +71,17 @@ def test_ehc_probe_runs_the_reference_leaf_stage(monkeypatch):
     monkeypatch.setattr(
         ehc, "compress_instance", lambda items, ent, params, h: [(0,), (0,)]
     )
-    toy, probe = oracle.toy_ehc_probe()
-    res = max_delta_probability("ehc", probe)
-    assert res.probability > 2.0 ** (toy.output_words * (toy.max_det_valuation - 4))
+    toy = oracle.toy_ehc_params()
+    dist = ehc_delta_distribution(toy, oracle.TOY_X, oracle.TOY_Y, 4, salt=oracle.TOY_SALT)
+    assert worst_probability(dist) > 2.0 ** (toy.output_words * (toy.max_det_valuation - 4))
 
 
 def test_ehc_toy_with_even_determinants():
     # the (1,1,0),(1,3,2) matrix has p=1; the scaled bound doubles per output
-    toy, probe = oracle.toy_ehc_probe(((1, 1, 0), (1, 3, 2)))
+    toy = oracle.toy_ehc_params(((1, 1, 0), (1, 3, 2)))
     assert toy.max_det_valuation == 1
-    res = max_delta_probability("ehc", probe)
-    assert res.probability <= 2.0 ** (2 * (1 - 4))
-
-
-def test_ehc_probe_requires_params():
-    with pytest.raises(ValueError):
-        max_delta_probability("ehc", DeltaProbe((1,), (2,), None, 4))
+    dist = ehc_delta_distribution(toy, oracle.TOY_X, oracle.TOY_Y, 4, salt=oracle.TOY_SALT)
+    assert worst_probability(dist) <= 2.0 ** (2 * (1 - 4))
 
 
 def test_tree_collision_constant_tree_always_collides_and_fails(monkeypatch):
