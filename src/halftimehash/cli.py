@@ -8,6 +8,7 @@ an input too large for memory.
 from __future__ import annotations
 
 import argparse
+import io
 import mmap
 import os
 import stat
@@ -51,22 +52,31 @@ def parse_size(text: str) -> int:
 
 def fill_bytes(n: int) -> bytes:
     """Deterministic splitmix-filled input under ``FILL_SEED``, in memory."""
-    if n == 0:
-        return b""
     words = _stream_words_np(FILL_SEED, 0, (n + 7) // 8)
     return words.astype("<u8").tobytes()[:n]
 
 
 def _read_input(path: str | None):
-    """The input's bytes.  A regular, non-empty file is mapped read-only and
-    hashed in place; stdin, empty files and other files are read."""
+    """The input's bytes: stdin for ``None`` or ``-``, else the named file."""
     if path is None or path == "-":
-        return sys.stdin.buffer.read()
+        return _read_stream(sys.stdin.buffer)
     with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode) and info.st_size:
-            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        return _read_stream(fh)
+
+
+def _read_stream(fh):
+    """The bytes of ``fh`` from its current offset.  A regular file with
+    bytes past the offset is mapped read-only and hashed in place; pipes,
+    TTYs, empty files and streams without a descriptor are read."""
+    try:
+        fd = fh.fileno()
+    except io.UnsupportedOperation:
         return fh.read()
+    info = os.fstat(fd)
+    if stat.S_ISREG(info.st_mode) and info.st_size > (offset := fh.tell()):
+        mm = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        return memoryview(mm)[offset:] if offset else mm
+    return fh.read()
 
 
 def _master_from_args(args) -> bytes:

@@ -5,25 +5,26 @@ assembly.
 Two engines produce bit-identical digests: a pure-Python scalar path (the
 instrumentable reference) and a numpy lane path that vectorizes across
 block lanes and across batched inputs.  The lane path reads the input's
-whole 64-bit words in place, without copying them, and takes the instances
-in cache-sized runs through the leaf stage and the k trees.  A run's parity
-rows, and then its combine rows, step together on one level-synchronous
-``horner_plan``; the scalar path runs each row on its own
-``horner_schedule``.  The leaf NH works inside the encoded run, and each
-run's arrays are freed before the next run is read.  Between runs each
-tree level keeps fewer than f blocks, so the memory it needs beyond the
-input is bounded by the run size, however long the input.  The scalar
-path pushes each instance's k blocks into the trees as soon as the
-instance is compressed, so it too keeps fewer than f blocks per level,
-and reads the tail's words as it reads the items.  The finalize
-and the tail then share one NH pass: tree r's row holds its finalize words
-and the tail words, keyed with its finalize key and window r of the
-Toeplitz tail key, so the k digest words come from one NH.  Both engines
-accept any C-contiguous bytes-like input.  A digest is a function of
-(input bytes, master seed, variant) only; seed buffers may be expanded for
-any sufficient capacity without changing results.  ``expand_seed``
-computes all the words once and keeps them, ``8 * capacity`` bytes, in one
-read-only array that every hash call slices.
+whole 64-bit words in place, without copying them.  One loop takes the
+instances in cache-sized runs: each run is loaded, encoded, hashed by the
+leaf NH inside the encoded array and combined, and its k blocks per
+instance merge up the tree levels, before the next run is read.  A run's
+parity rows, and then its combine rows, step together on one
+level-synchronous ``horner_plan``; the scalar path runs each row on its
+own ``horner_schedule``.  The leaf NH and the tree nodes share one NH
+kernel over a block's lanes.  Between runs each tree level keeps fewer
+than f blocks, so the memory needed beyond the input is bounded by the run
+size, however long the input.  The scalar path pushes each instance's k
+blocks into the trees as soon as the instance is compressed, so it too
+keeps fewer than f blocks per level, and reads the tail's words as it
+reads the items.  The finalize and the tail then share one NH pass: tree
+r's row holds its finalize words and the tail words, keyed with its
+finalize key and window r of the Toeplitz tail key, so the k digest words
+come from one NH.  Both engines accept any C-contiguous bytes-like input.
+A digest is a function of (input bytes, master seed, variant) only; seed
+buffers may be expanded for any sufficient capacity without changing
+results.  ``expand_seed`` computes all the words once and keeps them, ``8 *
+capacity`` bytes, in one read-only array that every hash call slices.
 
 Parameter sets and seed buffers are immutable, so one (params, seed) pair
 can be shared across threads; every hash call owns its transient state.
@@ -288,19 +289,6 @@ def _hash_scalar(
 _RUN_WORDS = 2**16
 
 
-def _nh_halves(words: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two NH factors ``(d_lo + s_lo) mod 2^32`` and ``(d_hi + s_hi) mod
-    2^32`` of every word.  One add on the 32-bit views wraps both halves.
-
-    ``seeds`` broadcasts against ``words``; both need a contiguous last
-    axis, of the same length.
-    """
-    s = np.add(words.view(np.uint32), seeds.view(np.uint32)).view(np.uint64)
-    lo = s & _HALF
-    s >>= _32
-    return lo, s
-
-
 def _nh_keyed_np(keyed: np.ndarray) -> np.ndarray:
     """nh_full over the last axis of words whose key is already added into
     their 32-bit halves, each half wrapping on its own.  Consumes ``keyed``:
@@ -313,32 +301,39 @@ def _nh_keyed_np(keyed: np.ndarray) -> np.ndarray:
     return np.matmul(lo[..., None, :], keyed[..., :, None])[..., 0, 0]
 
 
+def _nh_lanes_np(keyed: np.ndarray) -> np.ndarray:
+    """nh_full over axis -2 of keyed words, as ``_nh_keyed_np`` takes them,
+    the lanes on the last axis: (..., n, b) -> (..., b).  Consumes
+    ``keyed``; its low halves are the one new array of its size."""
+    lo = keyed & _HALF
+    keyed >>= _32
+    # One einsum multiplies and sums without storing the products, and
+    # on a short axis that is not the last it is also the faster sum.
+    return np.einsum("...ij,...ij->...j", lo, keyed)
+
+
 def _leaf_nh_np(enc: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """nh_full over axis -2 of ``enc``, the words of each lane on the last
     axis: (..., w, b) -> (..., b).
 
-    Consumes ``enc``: the keys are added into it and its high halves
-    shifted down in place, so the low halves are the one new array of its
-    size.  ``keys`` broadcasts against ``enc``; both need a contiguous last
-    axis, of the same length.
+    Consumes ``enc``: the keys are added into it in place.  ``keys``
+    broadcasts against ``enc``; both need a contiguous last axis, of the
+    same length.
     """
     halves = enc.view(np.uint32)
     np.add(halves, keys.view(np.uint32), out=halves)
-    lo = enc & _HALF
-    enc >>= _32
-    # One einsum multiplies and sums without storing the products, and
-    # on a short axis that is not the last it is also the faster sum.
-    return np.einsum("...ij,...ij->...j", lo, enc)
+    return _nh_lanes_np(enc)
 
 
 def _nh_node_np(blocks: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """nh_tree_node over axis -2 (the fanout axis) of ``blocks``.
+    """nh_tree_node over axis -2 (the fanout axis) of ``blocks``, which it
+    leaves untouched: the keys are added into a new array.
 
     ``keys`` holds the f-1 seed words, each repeated over the lanes, and
     broadcasts against ``blocks[..., :-1, :]``.
     """
-    lo, hi = _nh_halves(blocks[..., :-1, :], keys)
-    out = np.einsum("...ij,...ij->...j", lo, hi)
+    keyed = np.add(blocks[..., :-1, :].view(np.uint32), keys.view(np.uint32))
+    out = _nh_lanes_np(keyed.view(np.uint64))
     out += blocks[..., -1, :]
     return out
 
@@ -420,30 +415,6 @@ def _word_range(words: np.ndarray, last, lo: int, hi: int) -> np.ndarray:
     return np.concatenate([words[:, lo:], np.full((len(words), 1), last, np.uint64)], axis=1)
 
 
-def _hash_run(
-    inst: np.ndarray, ent: np.ndarray, node_keys: list, pending: list, params: HashParams
-) -> None:
-    """Take one run of (B, n, d, w, b) instances through the leaf stage and
-    into the k trees, whose unmerged blocks per level are ``pending``.
-
-    The run's encoded, hashed and combined arrays are locals here, so they
-    are freed before the next run is read.
-    """
-    f = params.fanout
-    blocks = _combine_np(_leaf_nh_np(_encode_np(inst, params), ent), params)
-    # Consecutive groups of f merge into the next level; the rest waits for
-    # the next run.  The top level never fills.
-    for i in range(len(pending)):
-        if pending[i].shape[2]:
-            blocks = np.concatenate([pending[i], blocks], axis=2)
-        cut = blocks.shape[2] - blocks.shape[2] % f
-        pending[i] = blocks[:, :, cut:]
-        if not cut:
-            break
-        groups = blocks[:, :, :cut].reshape(blocks.shape[:2] + (cut // f, f, blocks.shape[-1]))
-        blocks = _nh_node_np(groups, node_keys[i])
-
-
 def _hash_instances(
     words: np.ndarray, last, seed_region, params: HashParams, layout: SeedLayout
 ) -> list:
@@ -476,7 +447,18 @@ def _hash_instances(
     for t in range(0, n_inst, run):
         u = min(t + run, n_inst)
         inst = _word_range(words, last, t * m, u * m).reshape(batch, u - t, d, w, b)
-        _hash_run(inst, ent, node_keys, pending, params)
+        blocks = _combine_np(_leaf_nh_np(_encode_np(inst, params), ent), params)
+        # Consecutive groups of f merge into the next level; the rest waits
+        # for the next run.  The top level never fills.
+        for i in range(levels):
+            if pending[i].shape[2]:
+                blocks = np.concatenate([pending[i], blocks], axis=2)
+            cut = blocks.shape[2] - blocks.shape[2] % f
+            pending[i] = blocks[:, :, cut:]
+            if not cut:
+                break
+            groups = blocks[:, :, :cut].reshape(batch, k, cut // f, f, b)
+            blocks = _nh_node_np(groups, node_keys[i])
     return pending
 
 
@@ -558,11 +540,21 @@ def hash_bytes(
 
     ``data`` is any C-contiguous bytes-like object (bytes, bytearray,
     memoryview, mmap, numpy arrays), read in place; anything else raises
-    ``TypeError``.  ``engine="lanes"`` is the vectorized default;
-    ``engine="scalar"`` is the pure-Python reference path and the only one
-    that accepts a counter.  The two produce bit-identical digests.
+    ``TypeError``, as do a ``seed`` that is not a ``SeedBuffer`` and
+    ``params`` that are not ``HashParams``.  ``engine="lanes"`` is the
+    vectorized default; ``engine="scalar"`` is the pure-Python reference
+    path and the only one that accepts a counter.  The two produce
+    bit-identical digests.
     """
     view = _byte_view(data)
+    if not isinstance(seed, SeedBuffer):
+        raise TypeError(
+            f"seed must be a SeedBuffer from seed_for_input(), not {type(seed).__name__}"
+        )
+    if not isinstance(params, HashParams):
+        raise TypeError(
+            f"params must be HashParams from variant(), not {type(params).__name__}"
+        )
     layout = seed_layout(params, len(view))
     if seed.capacity < layout.total_words:
         raise SeedSizeError(

@@ -26,12 +26,8 @@ def tree_height(n_blocks: int, fanout: int) -> int:
     """Ceiling log_fanout, 0 for no blocks: the analysis formulas' height."""
     if n_blocks < 0:
         raise ValueError("tree_height needs a nonnegative block count")
-    h = 0
-    span = 1
-    while span < n_blocks:
-        span *= fanout
-        h += 1
-    return h
+    # f^h >= n exactly when n - 1 has at most h base-f digits.
+    return level_count(max(n_blocks - 1, 0), fanout)
 
 
 def level_count(n_blocks: int, fanout: int) -> int:

@@ -2,6 +2,7 @@ import argparse
 import io
 import mmap
 import os
+import tracemalloc
 
 import pytest
 
@@ -90,6 +91,45 @@ def test_hash_reads_regular_files_through_mmap(tmp_path):
     empty = tmp_path / "empty.bin"
     empty.write_bytes(b"")
     assert _read_input(str(empty)) == b""
+
+
+def _stdin_from(monkeypatch, fh):
+    monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": fh})())
+
+
+def test_hash_file_stdin_like_path(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "data.bin"
+    path.write_bytes(fill_bytes(3000))
+    _, by_path, _ = run(capsys, "hash", str(path))
+    with open(path, "rb") as fh:
+        _stdin_from(monkeypatch, fh)
+        code, by_stdin, _ = run(capsys, "hash", "-")
+    assert code == 0
+    assert by_stdin == by_path
+    # a stdin already read into hashes from where it stands
+    with open(path, "rb") as fh:
+        fh.read(5)
+        _stdin_from(monkeypatch, fh)
+        _, rest, _ = run(capsys, "hash", "-")
+    assert rest.strip() == hh.digest(fill_bytes(3000)[5:]).hex()
+
+
+def test_hash_file_stdin_is_mapped(monkeypatch, tmp_path):
+    # A regular file given as stdin is mapped, as a named file is, and not
+    # read into memory: reading it traced the whole 16 MiB.
+    path = tmp_path / "big.bin"
+    path.write_bytes(bytes(16 * 2**20))
+    with open(path, "rb") as fh:
+        _stdin_from(monkeypatch, fh)
+        tracemalloc.start()
+        try:
+            data = _read_input("-")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 16 * 2**20
+        del data
+    assert peak < 2**20
 
 
 def test_hash_seed_hex_and_file_agree(capsys, tmp_path):

@@ -431,6 +431,18 @@ def test_non_buffer_inputs_rejected(bad):
         hh.digest(bad)
 
 
+def test_wrong_seed_and_params_types_rejected():
+    # A master in place of its SeedBuffer, or a width in place of its
+    # HashParams, used to fail deep inside with an AttributeError.
+    p = hh.variant(24)
+    seed = hh.seed_for_input(ZERO_MASTER, p, 64)
+    for engine in ("lanes", "scalar"):
+        with pytest.raises(TypeError, match="seed_for_input"):
+            hh.hash_bytes(b"abc", ZERO_MASTER, p, engine=engine)
+        with pytest.raises(TypeError, match="variant"):
+            hh.hash_bytes(b"abc", seed, 24, engine=engine)
+
+
 @pytest.mark.parametrize("width", sorted(VARIANTS))
 def test_scalar_lanes_equivalence_boundaries(width):
     p = hh.variant(width)
@@ -666,7 +678,9 @@ def test_nh_kernels_match_nh_full(data, n):
     blocks = _draw_words(data, (2, f, 8))
     node_seed = _draw_words(data, (f - 1,))
     keys = np.repeat(node_seed[:, None], 8, axis=-1)
+    before = blocks.copy()
     got = hasher._nh_node_np(blocks, keys)
+    assert np.array_equal(blocks, before)
     for i in range(2):
         want = nh_blockwise([tuple(blk) for blk in blocks[i].tolist()], node_seed.tolist(), f)
         assert tuple(got[i].tolist()) == want

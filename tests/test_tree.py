@@ -197,6 +197,16 @@ def test_level_count_examples():
         level_count(-1, 8)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), f=st.integers(2, 9))
+def test_tree_height_and_level_count_match_definitions(data, f):
+    n = data.draw(st.integers(0, f**5 + 1))
+    # ceiling log_f n: the smallest h with f^h >= n
+    assert tree_height(n, f) == min(h for h in range(7) if f**h >= n)
+    # the base-f digit count: the smallest L with n < f^L
+    assert level_count(n, f) == min(d for d in range(8) if n < f**d)
+
+
 def test_finalize_zero_everything_is_zero():
     levels = [[(0, 0)], []]
     assert tree_finalize(levels, 0, [0] * 32, fanout=2, block_words=2) == 0
