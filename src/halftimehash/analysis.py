@@ -206,7 +206,7 @@ class EntropyReport:
 def entropy_report(params: HashParams, n_bytes: int) -> EntropyReport:
     """Evaluate the collision-probability, seed and cost formulas at a length."""
     if n_bytes < 1:
-        raise ValueError("n_bytes must be positive")
+        raise ValueError(f"input length must be positive, got {n_bytes}")
     k, b, f = params.output_words, params.block_words, params.fanout
     p = params.max_det_valuation
     layout = seed_layout(params, n_bytes)

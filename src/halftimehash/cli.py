@@ -104,8 +104,6 @@ def cmd_hash(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.length < 1:
-        raise ValueError("length must be positive")
     report = analysis.entropy_report(variant(args.variant), args.length)
     if args.csv:
         print(analysis.report_csv_header())

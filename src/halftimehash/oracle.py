@@ -18,15 +18,12 @@ seed spaces above 2^32 are refused.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis
 from . import ehc as ehc_mod
-from . import tree as tree_mod
 from .hasher import _stream_words_np
 from .nh import nh_full
 from .params import MASK64, VARIANTS, ErasureCode, HashParams, TransformMatrix
@@ -174,76 +171,3 @@ def verify_properties(quick: bool):
         worst = worst_probability(ehc_delta_distribution(toy, TOY_X, TOY_Y, 4, salt=TOY_SALT))
         b = 2.0 ** -analysis.ehc_bound(toy, 4)
         yield "ehc-delta-universality-w4", worst <= b, f"max {worst:.6f} vs bound {b:.6f}"
-
-
-@dataclass(frozen=True)
-class TreeCollisionResult:
-    """Wilson-interval summary of a tree-stage collision simulation."""
-
-    collisions: int
-    trials: int
-    estimate: float
-    upper99: float
-    bound: float
-    status: str  # "consistent" | "inconclusive" | "fail"
-
-
-def _wilson_upper(successes: int, trials: int, z: float = 2.576) -> float:
-    phat = successes / trials
-    denom = 1 + z * z / trials
-    center = phat + z * z / (2 * trials)
-    margin = z * math.sqrt((phat * (1 - phat) + z * z / (4 * trials)) / trials)
-    return (center + margin) / denom
-
-
-def tree_collision_estimate(
-    half_bits: int,
-    fanout: int,
-    height: int,
-    k: int,
-    trials: int,
-) -> TreeCollisionResult:
-    """Estimate the k-tree reduce-stage collision rate for random inputs.
-
-    Hashes ``fanout**height`` single-lane blocks through k independently
-    seeded trees; a collision means all k leftover stacks match.  Checked
-    against the height**k * 2**(-half_bits * k) bound: consistent if the
-    99% upper confidence limit sits below twice the bound, a point estimate
-    between one and two times the bound is inconclusive rather than failed.
-    """
-    if half_bits > 8:
-        raise ValueError("collision simulation is for reduced widths")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = np.random.default_rng(0xC0111)
-    n_blocks = fanout**height
-    full = 1 << (2 * half_bits)
-    seeds_per_tree = (fanout - 1) * max(height, 1)
-    xs_all = rng.integers(0, full, size=(trials, n_blocks)).tolist()
-    ys_all = rng.integers(0, full, size=(trials, n_blocks)).tolist()
-    seeds_all = rng.integers(0, full, size=(trials, k, seeds_per_tree)).tolist()
-    collisions = 0
-    for t in range(trials):
-        xs, ys = xs_all[t], ys_all[t]
-        if xs == ys:
-            ys[0] ^= 1
-        x_blocks = [(v,) for v in xs]
-        y_blocks = [(v,) for v in ys]
-        collided = True
-        for seeds in seeds_all[t]:
-            rx = tree_mod.tree_reduce([], x_blocks, seeds, fanout, half_bits)
-            ry = tree_mod.tree_reduce([], y_blocks, seeds, fanout, half_bits)
-            if rx != ry:
-                collided = False
-                break
-        collisions += collided
-    estimate = collisions / trials
-    upper = _wilson_upper(collisions, trials)
-    bound = max(height, 1) ** k * 2.0 ** (-half_bits * k)
-    if upper <= 2 * bound and estimate <= bound:
-        status = "consistent"
-    elif estimate <= 2 * bound:
-        status = "inconclusive"
-    else:
-        status = "fail"
-    return TreeCollisionResult(collisions, trials, estimate, upper, bound, status)

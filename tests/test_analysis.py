@@ -168,6 +168,14 @@ def test_repetition_code_distance_two():
     assert verify_min_distance(code, trials=10**4) == 2
 
 
+def test_distance_search_goes_past_one_symbol_inputs():
+    # Every one-symbol input weighs 1 + 2 parities, but the parity columns
+    # of inputs 0 and 1 are equal, so (a, a, 0) weighs 2: only a search
+    # over two-symbol inputs finds the distance.
+    code = ErasureCode(3, 2, ((1, 1, 2), (1, 1, 3)))
+    assert verify_min_distance(code, trials=0) == 2
+
+
 def test_distance_deficient_code_rejected():
     # two equal coefficients make a weight-2 codeword invisible to one parity
     bad = ErasureCode(2, 3, ((1, 1),))

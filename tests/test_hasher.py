@@ -294,6 +294,23 @@ def test_undersized_seed_rejected():
         hh.hash_bytes(data, small, p)
 
 
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+def test_seed_one_word_short_rejected_on_both_engines(width):
+    # At lengths with no instance, a partial word, an instance's worth
+    # and two instances plus a tail, a buffer one word short of
+    # seed_words_needed raises SeedSizeError and an exact one hashes.
+    p = hh.variant(width)
+    m8 = 8 * p.instance_words
+    for n in (0, 1, m8 - 1, m8, 2 * m8 + 3):
+        data = fill_bytes(n)
+        needed = seed_words_needed(p, n)
+        short, exact = expand_seed(RANGE_MASTER, needed - 1), expand_seed(RANGE_MASTER, needed)
+        for engine in ("lanes", "scalar"):
+            with pytest.raises(SeedSizeError):
+                hh.hash_bytes(data, short, p, engine=engine)
+            assert hh.hash_bytes(data, exact, p, engine=engine) == hh.digest(data, RANGE_MASTER, width)
+
+
 def test_oversized_seed_gives_same_digest():
     # digests depend on (input, master, variant) only; extra capacity is inert
     p = hh.variant(24)
@@ -739,6 +756,31 @@ def test_chunked_lanes_match_scalar_at_run_boundaries(run, data):
         got_own = hasher._hash_words_np(words, n, region, p, layout)
     assert [tuple(int(v) for v in row) for row in got] == [d.words for d in want]
     assert [tuple(int(v) for v in row) for row in got_own] == [want[0].words, other.words]
+
+
+@pytest.mark.parametrize("width", sorted(VARIANTS))
+def test_batch_run_counts_the_batch_axis(width, monkeypatch):
+    # A run holds _RUN_WORDS words across the whole batch: with room for
+    # four instances and a batch of four, each run takes one instance of
+    # every input, so eight instances take eight runs.
+    p = hh.variant(width)
+    m, batch, n = p.instance_words, 4, 8 * 8 * p.instance_words
+    runs, encode = [], hasher._encode_np
+
+    def spied(inst, params):
+        runs.append(inst.shape[:2])
+        return encode(inst, params)
+
+    monkeypatch.setattr(hasher, "_encode_np", spied)
+    monkeypatch.setattr(hasher, "_RUN_WORDS", 4 * m)
+    rnd = random.Random(width)
+    inputs = [rnd.randbytes(n) for _ in range(batch)]
+    seed = hh.seed_for_input(RANGE_MASTER, p, n)
+    words = np.stack([np.frombuffer(x, dtype="<u8").astype(np.uint64) for x in inputs])
+    got = hasher._hash_words_np(words, n, seed.words_np, p, seed_layout(p, n))
+    assert runs == [(batch, 1)] * 8
+    want = [hh.hash_bytes(x, seed, p, engine="scalar").words for x in inputs]
+    assert [tuple(int(v) for v in row) for row in got] == want
 
 
 @pytest.mark.parametrize("width", sorted(VARIANTS))

@@ -1,11 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from halftimehash import ehc, oracle, tree
+from halftimehash import analysis, ehc, oracle
 from halftimehash.oracle import (
     ehc_delta_distribution,
     nh_delta_distribution,
-    tree_collision_estimate,
     worst_probability,
 )
 
@@ -28,6 +29,32 @@ def test_fixed_seeds_are_the_salted_splitmix_stream(salt):
     want = reference.splitmix_stream(salt % 2**64, 12)
     for bits in (4, 8):
         assert oracle._fixed_seeds(salt, 12, bits) == [w % 2**bits for w in want]
+
+
+def test_enumeration_refuses_seed_spaces_past_2_32():
+    # 33 enumerated bits are refused before the first seed is tried.
+    def diff(seed):
+        raise AssertionError("enumerated a seed space past the limit")
+
+    with pytest.raises(ValueError, match="too large"):
+        oracle._enumerate([0], [0], 33, diff)
+
+
+@pytest.mark.parametrize("quick, probes", [(False, 100), (True, 10)])
+def test_verify_runs_its_stated_nh_probe_count(monkeypatch, quick, probes):
+    # The printed line shows only the worst probe, so count the probes;
+    # the distance and leaf-stage checks are stubbed to keep this fast.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return nh_delta_distribution(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "nh_delta_distribution", counted)
+    monkeypatch.setattr(analysis, "verify_min_distance", lambda code, trials: code.min_distance)
+    monkeypatch.setattr(oracle, "ehc_delta_distribution", lambda *args, **kwargs: Counter([0]))
+    list(oracle.verify_properties(quick))
+    assert len(calls) == probes
 
 
 def test_nh_width4_bound_random_probes():
@@ -84,49 +111,12 @@ def test_ehc_toy_with_even_determinants():
     assert worst_probability(dist) <= 2.0 ** (2 * (1 - 4))
 
 
-def test_tree_collision_constant_tree_always_collides_and_fails(monkeypatch):
-    # A tree that ignores its blocks makes every pair collide: the estimator
-    # must count each such trial and judge the rate far above the bound.
-    monkeypatch.setattr(tree, "tree_reduce", lambda levels, blocks, seeds, fanout, half_bits: [[(7,)]])
-    res = tree_collision_estimate(8, 4, 1, 1, trials=200)
-    assert res.collisions == res.trials == 200
-    assert res.estimate == 1.0
-    assert res.status == "fail"
-
-
-def test_tree_collision_h1_k1_width8():
-    res = tree_collision_estimate(8, 4, 1, 1, trials=10**4)
-    assert res.bound == 2**-8
-    assert res.status in ("consistent", "inconclusive")
-    assert res.estimate <= res.bound + (res.upper99 - res.estimate)
-
-
-def test_tree_collision_k2_h2_width4():
-    res = tree_collision_estimate(4, 4, 2, 2, trials=3000)
-    assert res.bound == 4 * 2**-8
-    assert res.status in ("consistent", "inconclusive")
-
-
-@pytest.mark.parametrize("trials", [0, -1])
-def test_tree_collision_needs_a_trial(trials):
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        tree_collision_estimate(4, 4, 1, 1, trials=trials)
-
-
 def test_scaled_pipeline_is_production_path():
     # the oracle drives the very same function objects the 32-bit hasher
     # uses, just at a smaller width; there is no parallel rewrite
     import halftimehash.ehc as prod_ehc
     import halftimehash.nh as prod_nh
-    import halftimehash.tree as prod_tree
 
     assert oracle.nh_full is prod_nh.nh_full
     assert oracle.ehc_mod is prod_ehc
-    assert oracle.tree_mod is prod_tree
 
-
-def test_wilson_upper_monotone():
-    from halftimehash.oracle import _wilson_upper
-
-    assert _wilson_upper(0, 1000) < _wilson_upper(5, 1000) < _wilson_upper(50, 1000)
-    assert _wilson_upper(0, 100) > _wilson_upper(0, 10000)
