@@ -6,13 +6,14 @@ every mathematical property the hash family relies on is machine-checked:
 exact 2-adic valuations of the combine matrices, exhaustive minimum-distance
 measurement of the erasure codes at reduced symbol width, the closed
 forms for collision probability and multiplication count, and the seed
-budget as the hasher lays it out.
+budget as the hasher lays it out.  ``report_items`` is the one rendering
+of an ``EntropyReport`` that ``halftimehash analyze`` prints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -248,39 +249,9 @@ def ehc_bound(params: HashParams, width: int = 32) -> int:
     return params.output_words * (width - params.max_det_valuation)
 
 
-REPORT_FIELDS = (
-    "output_bytes",
-    "n_bytes",
-    "tree_height",
-    "tree_height_floor",
-    "epsilon_log2",
-    "key_bits",
-    "epsilon_log2_keyed",
-    "seed_words",
-    "seed_bytes",
-    "seed_words_paper",
-    "multiplications",
-    "multiplications_log_term",
-)
-
-
-def report_csv_header() -> str:
-    return ",".join(REPORT_FIELDS)
-
-
-def report_csv_row(report: EntropyReport) -> str:
-    vals = []
-    for name in REPORT_FIELDS:
-        v = getattr(report, name)
-        vals.append(f"{v:.2f}" if isinstance(v, float) else str(v))
-    return ",".join(vals)
-
-
-def report_table(report: EntropyReport) -> str:
-    rows = []
-    for name in REPORT_FIELDS:
-        v = getattr(report, name)
-        text = f"{v:.2f}" if isinstance(v, float) else str(v)
-        rows.append((name, text))
-    width = max(len(name) for name, _ in rows)
-    return "\n".join(f"{name:<{width}}  {text}" for name, text in rows)
+def report_items(report: EntropyReport) -> list[tuple[str, str]]:
+    """``(name, text)`` for every field in declaration order but
+    ``multiplications_exact``; floats show two places."""
+    values = asdict(report)
+    del values["multiplications_exact"]
+    return [(name, f"{v:.2f}" if isinstance(v, float) else str(v)) for name, v in values.items()]

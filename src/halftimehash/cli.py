@@ -11,9 +11,11 @@ import argparse
 import io
 import mmap
 import os
+import shutil
 import stat
 import statistics
 import sys
+import tempfile
 import time
 from collections import Counter
 
@@ -66,14 +68,20 @@ def _read_input(path: str | None):
 
 def _read_stream(fh):
     """The bytes of ``fh`` from its current offset.  A regular file with
-    bytes past the offset is mapped read-only and hashed in place; pipes,
-    TTYs, empty files and streams without a descriptor are read."""
+    bytes past the offset is mapped read-only and hashed in place; a pipe
+    or TTY is first spooled to a temporary file, which is mapped in turn.
+    Empty input and streams without a descriptor are read."""
     try:
         fd = fh.fileno()
     except io.UnsupportedOperation:
         return fh.read()
     info = os.fstat(fd)
-    if stat.S_ISREG(info.st_mode) and info.st_size > (offset := fh.tell()):
+    if not stat.S_ISREG(info.st_mode):
+        with tempfile.TemporaryFile() as spool:
+            shutil.copyfileobj(fh, spool)
+            spool.seek(0)
+            return _read_stream(spool)
+    if info.st_size > (offset := fh.tell()):
         mm = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
         return memoryview(mm)[offset:] if offset else mm
     return fh.read()
@@ -105,11 +113,14 @@ def cmd_hash(args) -> int:
 
 def cmd_analyze(args) -> int:
     report = analysis.entropy_report(variant(args.variant), args.length)
+    items = analysis.report_items(report)
     if args.csv:
-        print(analysis.report_csv_header())
-        print(analysis.report_csv_row(report))
+        for column in zip(*items):
+            print(",".join(column))
     else:
-        print(analysis.report_table(report))
+        width = max(len(name) for name, _ in items)
+        for name, text in items:
+            print(f"{name:<{width}}  {text}")
     return 0
 
 

@@ -3,17 +3,17 @@
 ``verify_properties`` owns the property list; ``halftimehash verify`` only
 prints what it yields.
 
-The production bounds live at 32-bit half-words where seed spaces are far
-beyond enumeration, so the probes run the *same* pipeline functions at 4-
-or 8-bit half-words, where the relevant seed spaces are exhaustible.
-``nh_delta_distribution`` and ``ehc_delta_distribution`` return the
-``Counter`` of the NH and the leaf-stage (``ehc.compress_instance``) output
-differences over the enumerated seeds; its total is the seed count.  The
-conditioning trick from the leaf-stage proof is reused computationally, by
-one enumerator, ``_enumerate``, that both share: only the seeds at the
-differing positions are enumerated, the rest are pinned to salt-derived
-constants, which is sound because the bound holds uniformly over them, and
-seed spaces above 2^32 are refused.
+The production bounds live at 32-bit halves where seed spaces are far
+beyond enumeration, so the probes run the *same* pipeline functions on
+whole words of 4- or 8-bit halves, where the relevant seed spaces are
+exhaustible.  ``nh_delta_distribution`` and ``ehc_delta_distribution``
+return the ``Counter`` of the NH and the leaf-stage
+(``ehc.compress_instance``) output differences over the enumerated seeds;
+its total is the seed count.  The conditioning trick from the leaf-stage
+proof is reused computationally, by one enumerator, ``_enumerate``, that
+both share: only the seeds at the differing positions are enumerated, the
+rest are pinned to salt-derived constants, which is sound because the
+bound holds uniformly over them, and seed spaces above 2^32 are refused.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .params import MASK64, VARIANTS, ErasureCode, HashParams, TransformMatrix
 _EXHAUSTIVE_LIMIT = 1 << 32
 
 
-def _fixed_seeds(salt: int, count: int, half_bits: int) -> list[int]:
-    """``count`` seed constants of ``half_bits`` bits; any int salt works mod 2^64."""
+def _fixed_seeds(salt: int, count: int, bits: int) -> list[int]:
+    """``count`` seed constants of ``bits`` bits; any int salt works mod 2^64."""
     words = _stream_words_np(salt & MASK64, 0, count)
-    return (words & np.uint64((1 << half_bits) - 1)).tolist()
+    return (words & np.uint64((1 << bits) - 1)).tolist()
 
 
 def _enumerate(seed: list[int], positions: list[int], bits: int, diff) -> Counter:
@@ -63,28 +63,23 @@ def worst_probability(dist: Counter) -> float:
 def nh_delta_distribution(x, y, half_bits: int, salt: int = 0) -> Counter:
     """Distribution of nh_full(x) - nh_full(y) over one enumerated seed word.
 
-    ``x`` and ``y`` are half-word sequences; they pack into words, low half
-    first.  The enumerated seed word sits at the first differing input
-    word, and its low half takes the low bits of the enumeration counter;
-    every other seed half-word is pinned to a salt-derived constant.
+    ``x`` and ``y`` are equal-length sequences of ``2 * half_bits``-bit
+    words, as ``nh_full`` takes.  The enumerated seed word sits at the
+    first differing word; every other seed word is pinned to a
+    salt-derived constant.
     """
-    h = half_bits
-    if len(x) != len(y) or len(x) % 2:
-        raise ValueError("probe inputs must be equal even-length half-word sequences")
-
-    def words(halves):
-        return [lo | hi << h for lo, hi in zip(halves[0::2], halves[1::2])]
-
-    x_words, y_words = words(x), words(y)
-    target = next((i for i, (a, b) in enumerate(zip(x_words, y_words)) if a != b), None)
+    if len(x) != len(y):
+        raise ValueError("probe inputs must be equal-length word sequences")
+    target = next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), None)
     if target is None:
         raise ValueError("inputs are identical; no differing pair to enumerate")
-    full_mask = (1 << (2 * h)) - 1
+    full_bits = 2 * half_bits
+    full_mask = (1 << full_bits) - 1
     return _enumerate(
-        words(_fixed_seeds(salt, len(x), h)),
+        _fixed_seeds(salt, len(x), full_bits),
         [target],
-        2 * h,
-        lambda seed: (nh_full(x_words, seed, h) - nh_full(y_words, seed, h)) & full_mask,
+        full_bits,
+        lambda seed: (nh_full(x, seed, half_bits) - nh_full(y, seed, half_bits)) & full_mask,
     )
 
 
@@ -158,8 +153,8 @@ def verify_properties(quick: bool):
     bound = 2.0**-4
     worst = 0.0
     for _ in range(probes):
-        x = tuple(int(v) for v in rng.integers(0, 16, size=4))
-        y = tuple(int(v) for v in rng.integers(0, 16, size=4))
+        x = tuple(int(v) for v in rng.integers(0, 256, size=2))
+        y = tuple(int(v) for v in rng.integers(0, 256, size=2))
         if x == y:
             y = (y[0] ^ 1,) + y[1:]
         salt = int(rng.integers(1 << 32))

@@ -64,8 +64,8 @@ def test_criterion_3_nh_delta_universality_desk_scale():
     bound = 2**-4
     worst = 0.0
     for i in range(100):
-        x = tuple(int(v) for v in rng.integers(0, 16, size=4))
-        y = tuple(int(v) for v in rng.integers(0, 16, size=4))
+        x = tuple(int(v) for v in rng.integers(0, 256, size=2))
+        y = tuple(int(v) for v in rng.integers(0, 256, size=2))
         if x == y:
             y = (y[0] ^ 1,) + y[1:]
         dist = oracle.nh_delta_distribution(x, y, 4, salt=i + 1)
@@ -74,8 +74,8 @@ def test_criterion_3_nh_delta_universality_desk_scale():
     # not put more than bound * 2^8 mass on any value
     all_delta_worst = 0.0
     for i in range(10):
-        x = tuple(int(v) for v in rng.integers(0, 16, size=4))
-        y = (x[0] ^ int(rng.integers(1, 16)),) + x[1:]
+        x = tuple(int(v) for v in rng.integers(0, 256, size=2))
+        y = (x[0] ^ int(rng.integers(1, 256)),) + x[1:]
         dist = oracle.nh_delta_distribution(x, y, 4, salt=1000 + i)
         all_delta_worst = max(all_delta_worst, oracle.worst_probability(dist))
     ok = worst <= bound and all_delta_worst <= bound

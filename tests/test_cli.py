@@ -2,6 +2,7 @@ import argparse
 import io
 import mmap
 import os
+import threading
 import tracemalloc
 
 import pytest
@@ -130,6 +131,39 @@ def test_hash_file_stdin_is_mapped(monkeypatch, tmp_path):
         assert len(data) == 16 * 2**20
         del data
     assert peak < 2**20
+
+
+def test_hash_pipe_stdin_is_spooled_and_mapped(monkeypatch):
+    # A pipe is copied to a temporary file in chunks and mapped, so its
+    # 16 MiB are never held in memory at once; an empty pipe is b"".
+    payload = fill_bytes(16 * 2**20)
+
+    def read_pipe(data):
+        rfd, wfd = os.pipe()
+
+        def feed():
+            with open(wfd, "wb") as w:
+                w.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        with open(rfd, "rb") as fh:
+            _stdin_from(monkeypatch, fh)
+            tracemalloc.start()
+            try:
+                read = _read_input("-")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        return read, peak
+
+    data, peak = read_pipe(payload)
+    assert peak < 2**20
+    assert hh.digest(data) == hh.digest(payload)
+    del data
+    assert read_pipe(b"")[0] == b""
 
 
 def test_hash_seed_hex_and_file_agree(capsys, tmp_path):

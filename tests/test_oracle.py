@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from halftimehash import analysis, ehc, oracle
+from halftimehash.nh import nh_full
 from halftimehash.oracle import (
     ehc_delta_distribution,
     nh_delta_distribution,
@@ -61,8 +62,8 @@ def test_nh_width4_bound_random_probes():
     rng = np.random.default_rng(40)
     bound = 2**-4
     for i in range(30):
-        x = tuple(int(v) for v in rng.integers(0, 16, size=4))
-        y = tuple(int(v) for v in rng.integers(0, 16, size=4))
+        x = tuple(int(v) for v in rng.integers(0, 256, size=2))
+        y = tuple(int(v) for v in rng.integers(0, 256, size=2))
         if x == y:
             y = (y[0] ^ 3,) + y[1:]
         dist = nh_delta_distribution(x, y, 4, salt=i)
@@ -73,13 +74,62 @@ def test_nh_width4_bound_random_probes():
 def test_nh_width4_delta_probabilities_are_the_distribution():
     # The distribution holds only 8-bit deltas, its per-delta probabilities
     # over the 256 seeds add up to 1, and their peak is worst_probability.
-    x = (3, 7, 1, 2)
-    y = (9, 7, 1, 2)
+    x = (0x73, 0x21)
+    y = (0x79, 0x21)
     dist = nh_delta_distribution(x, y, 4)
     assert set(dist) <= set(range(256))
     probs = [dist[delta] / 256 for delta in range(256)]
     assert sum(probs) == 1
     assert max(probs) == worst_probability(dist)
+
+
+@pytest.mark.parametrize(
+    "x, y, salt",
+    [
+        ((0x73, 0x21), (0x79, 0x21), 0),
+        ((0x10, 0xF5), (0x10, 0x5F), 9),
+        ((1, 2, 3), (1, 2, 4), 2**40),
+    ],
+)
+def test_nh_delta_distribution_is_the_reference_nh_over_one_seed_word(x, y, salt):
+    # The probe reads x and y as 8-bit words of 4-bit halves, low half
+    # first, and enumerates the seed word at the first differing word.
+    def halves(words):
+        return [half for w in words for half in (w & 0xF, w >> 4)]
+
+    target = next(i for i, (a, b) in enumerate(zip(x, y)) if a != b)
+    seed = oracle._fixed_seeds(salt, len(x), 8)
+    want = Counter()
+    for word in range(256):
+        seed[target] = word
+        nh_x = reference.nh_direct(halves(x), halves(seed), 4)
+        nh_y = reference.nh_direct(halves(y), halves(seed), 4)
+        want[(nh_x - nh_y) % 256] += 1
+    assert nh_delta_distribution(x, y, 4, salt) == want
+
+
+def _nh_keyless_high_half(data, seed, half_bits=32):
+    mask = (1 << half_bits) - 1
+    acc = sum(((d + s) & mask) * ((d >> half_bits) & mask) for d, s in zip(data, seed))
+    return acc & ((1 << 2 * half_bits) - 1)
+
+
+def _nh_low_half(data, seed, half_bits=32):
+    return nh_full(data, seed, half_bits) & ((1 << half_bits) - 1)
+
+
+@pytest.mark.parametrize(
+    "weak_nh, worst",
+    [(_nh_keyless_high_half, "0.937500"), (_nh_low_half, "0.125000")],
+)
+def test_verify_fails_an_nh_weaker_than_its_bound(monkeypatch, weak_nh, worst):
+    # An NH whose high half takes no key, or that keeps only its low half,
+    # is not 2^-4-almost-delta-universal at 4-bit halves; the quick probes
+    # must say so.  The distance checks are stubbed to keep this fast.
+    monkeypatch.setattr(oracle, "nh_full", weak_nh)
+    monkeypatch.setattr(analysis, "verify_min_distance", lambda code, trials: code.min_distance)
+    results = {name: (ok, detail) for name, ok, detail in oracle.verify_properties(True)}
+    assert results["nh-delta-universality-w4"] == (False, f"max {worst} vs bound 0.062500")
 
 
 def test_ehc_toy_meets_scaled_adu_bound():
